@@ -679,10 +679,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                               "repeat invocations")
     p_sweep.add_argument("--no-grid", action="store_true",
                          help="disable single-pass grid evaluation: run "
-                              "every job as its own decode+simulate pass "
-                              "even when jobs differ only in iTLB "
-                              "geometry (results are bit-identical "
-                              "either way; see docs/performance.md)")
+                              "every job as its own link/decode+simulate "
+                              "pass even when jobs share a workload, "
+                              "window and page size (results are "
+                              "bit-identical either way; see "
+                              "docs/performance.md)")
     p_sweep.add_argument("--json", action="store_true",
                          help="machine-readable output (full simulation "
                               "records, including the normalization Base "

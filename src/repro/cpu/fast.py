@@ -23,7 +23,9 @@ Timing is a dependency-aware list-scheduling model of the Table 1 core:
 Scheme-specific translation stalls (serial PI-PT lookups, VI-VT miss-path
 lookups, iTLB miss penalties) accumulate per scheme and are added to the
 shared pipeline cycle count — a first-order approximation validated against
-the detailed out-of-order engine (see ``benchmarks/test_validation.py``).
+the detailed out-of-order engine (see :mod:`repro.experiments.validation`
+and ``test_engine_validation`` in
+``benchmarks/test_sensitivity_and_extensions.py``).
 """
 
 from __future__ import annotations

@@ -67,6 +67,12 @@ def run_for(addressing: CacheAddressing,
 def run(settings: Optional[ExperimentSettings] = None) -> TableResult:
     """Both panels merged (VI-PT rows then VI-VT rows)."""
     settings = settings or default_settings()
+    # one prefetch for both panels: a benchmark's VI-PT and VI-VT cells
+    # then form one grid unit sharing each binary's link and execution
+    prefetch(((bench, default_config(addressing))
+              for bench in settings.benchmarks
+              for addressing in (CacheAddressing.VIPT,
+                                 CacheAddressing.VIVT)), settings)
     top = run_for(CacheAddressing.VIPT, settings)
     bottom = run_for(CacheAddressing.VIVT, settings)
     merged = TableResult(

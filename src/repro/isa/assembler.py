@@ -16,13 +16,15 @@ SoCA/SoLA/IA) — exactly as the paper compares un/instrumented binaries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import AssemblyError, LayoutError
 from repro.isa.instructions import Instruction, Opcode
 from repro.isa.program import DATA_BASE, Program, TEXT_BASE
 
 _B_OFF_LIMIT = (1 << 14) - 1  # 15-bit signed word offset
+#: conditional branches: PC-relative, so their offset must fit
+_B_OPS = frozenset({Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE})
 
 TargetRef = Union[str, int]
 
@@ -290,6 +292,10 @@ def link(
 
     labels: Dict[str, int] = {}
     placed: List[Instruction] = []
+    place = placed.append
+    #: (placed instruction, symbolic item) for every item with a target,
+    #: resolved once every label — text and data — has an address
+    fixups: List[Tuple[Instruction, SymInstr]] = []
     cursor = text_base
     pending_labels: List[str] = []
     boundary_count = 0
@@ -302,20 +308,20 @@ def link(
             pending_labels.append(item)
             continue
         if boundary_branches and (cursor % page_bytes) == last_slot:
-            placed.append(
-                Instruction(Opcode.J, target=cursor + 4, address=cursor,
-                            is_boundary_branch=True, label="<boundary>")
-            )
+            place(Instruction(Opcode.J, target=cursor + 4, address=cursor,
+                              is_boundary_branch=True, label="<boundary>"))
             cursor += 4
             boundary_count += 1
-        for lbl in pending_labels:
-            labels[lbl] = cursor
-        pending_labels.clear()
-        placed.append(
-            Instruction(item.op, rd=item.rd, rs=item.rs, rt=item.rt,
-                        imm=item.imm, target=None, address=cursor,
-                        label=item.label)
-        )
+        if pending_labels:
+            for lbl in pending_labels:
+                labels[lbl] = cursor
+            pending_labels.clear()
+        instr = Instruction(item.op, rd=item.rd, rs=item.rs, rt=item.rt,
+                            imm=item.imm, target=None, address=cursor,
+                            label=item.label)
+        place(instr)
+        if item.target is not None:
+            fixups.append((instr, item))
         cursor += 4
 
     if pending_labels:
@@ -344,20 +350,14 @@ def link(
         dcursor += 4 * ditem.zero_words
 
     # resolve control-flow targets
-    sym_iter = (item for item in module.text if isinstance(item, SymInstr))
-    for instr in placed:
-        if instr.is_boundary_branch:
-            continue
-        sym = next(sym_iter)
-        if sym.target is None:
-            continue
+    for instr, sym in fixups:
         if isinstance(sym.target, str):
             if sym.target not in labels:
                 raise AssemblyError(f"undefined label '{sym.target}'")
             target = labels[sym.target]
         else:
             target = sym.target
-        if instr.op in (Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE):
+        if instr.op in _B_OPS:
             off_words = (target - (instr.address + 4)) // 4
             if abs(off_words) > _B_OFF_LIMIT:
                 raise AssemblyError(

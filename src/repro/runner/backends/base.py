@@ -93,12 +93,14 @@ def execute_grid(grid: GridSpec) -> List[Outcome]:
     collected :class:`JobMetrics` is fanned out per member: the shared
     wall-clock phases (decode, simulate, total) are split evenly so the
     members' attributed seconds sum back to the actual pass, while
-    ``instructions``/``passes`` stay whole per member (each member's
-    result really does cover the full window) and the decode counters
-    land on member 0 only (the pass decoded once, not N times).
+    ``instructions``/``passes`` are one sub-pass's worth per member (each
+    member's result really does cover the full window, on one sub-pass
+    of each binary) and the decode counters land on member 0 only (the
+    pass decoded once, not N times).
     """
     members = grid.members
     count = len(members)
+    sub_passes = grid.sub_passes
     started = time.perf_counter()
     with telemetry.collect(workload=grid.workload) as metrics:
         try:
@@ -118,6 +120,8 @@ def execute_grid(grid: GridSpec) -> List[Outcome]:
             decode_seconds=metrics.decode_seconds / count,
             simulate_seconds=metrics.simulate_seconds / count,
             total_seconds=metrics.total_seconds / count,
+            instructions=metrics.instructions // sub_passes,
+            passes=metrics.passes // sub_passes,
             decode_cold=metrics.decode_cold if position == 0 else 0,
             decode_cached=metrics.decode_cached if position == 0 else 0,
             grid_members=count,

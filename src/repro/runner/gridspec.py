@@ -1,12 +1,16 @@
-"""A grid of JobSpecs sharing one decoded simulation pass.
+"""A grid of JobSpecs sharing one simulation stream.
 
 A :class:`GridSpec` bundles N :class:`~repro.runner.jobspec.JobSpec`
-members that differ only in the fields a
-:class:`~repro.cpu.grid.MultiConfigEngine` can replicate per member
-(iTLB geometry, energy accounting — :data:`~repro.config.
-GRID_MEMBER_FIELDS`).  Running the grid costs roughly one member's wall
-clock and produces one :class:`~repro.sim.multi.CombinedRun` per member,
-each **bit-identical** to its member's independent :meth:`JobSpec.run`.
+members over the same workload, window, scheme set, engine and page
+size.  Running the grid links each binary once, obtains its committed
+stream once (a trace's decoded segment, or a live program's in-memory
+capture), and scores every member on it with the
+:class:`~repro.cpu.grid.MultiConfigEngine` — one sub-pass per group of
+members that agree outside :data:`~repro.config.GRID_MEMBER_FIELDS`
+(so iL1 addressing may differ within a grid; iTLB geometry and energy
+accounting may differ within a sub-pass).  The result is one
+:class:`~repro.sim.multi.CombinedRun` per member, each
+**bit-identical** to its member's independent :meth:`JobSpec.run`.
 
 Grids are a *planning* construct, not a result identity: every member
 result lands in the :class:`~repro.runner.store.ResultStore` under the
@@ -24,6 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Sequence, Tuple, Union
 
+from repro.cpu.grid import grid_invariants_key
 from repro.errors import ConfigError
 from repro.runner.jobspec import SPEC_FORMAT, UNREADABLE_DIGEST, JobSpec
 
@@ -33,14 +38,36 @@ GRID_ENGINES = ("fast", "batch")
 
 
 def grid_eligible(spec: JobSpec) -> bool:
-    """Whether ``spec`` may join a grid at all: a readable file-backed
-    replay workload on a batchable engine.  Live (generated) workloads
-    have no decoded stream to share; the scalar/ooo engines step one
-    config at a time; an unreadable-digest spec must fail as itself."""
+    """Whether ``spec`` may join a grid at all.
+
+    * A readable ``trace:``/``import:`` workload on a batchable engine
+      (``fast``/``batch``): its decoded stream is shared as is.
+    * A live (generated) workload on the ``fast`` engine: the grid
+      captures its committed stream once, in memory.  ``batch`` must
+      keep failing for a live job as it does alone, and ``scalar``/
+      ``ooo`` step one config at a time.
+
+    An unreadable-digest spec must fail as itself.  Eligibility is not
+    enough to grid: :func:`plan_units` leaves a spec that finds no
+    partner as a solo job, and a solo live job runs on the scalar
+    :class:`~repro.cpu.fast.FastEngine` — capturing the stream only to
+    replay it once costs about as much as the scalar pass.
+    """
     from repro.workloads.registry import IMPORT_PREFIX, TRACE_PREFIX
-    return (spec.workload.startswith((TRACE_PREFIX, IMPORT_PREFIX))
-            and spec.engine in GRID_ENGINES
-            and spec.workload_digest != UNREADABLE_DIGEST)
+    if spec.workload.startswith((TRACE_PREFIX, IMPORT_PREFIX)):
+        return (spec.engine in GRID_ENGINES
+                and spec.workload_digest != UNREADABLE_DIGEST)
+    return spec.engine == "fast"
+
+
+def _unit_fields(spec: JobSpec) -> Dict[str, object]:
+    """What every member of one grid shares: the workload (and its
+    content digest), window, scheme set, engine and page size."""
+    return {"workload": spec.workload,
+            "workload_digest": spec.workload_digest,
+            "instructions": spec.instructions, "warmup": spec.warmup,
+            "schemes": spec.schemes, "engine": spec.engine,
+            "page size": spec.config.mem.page_bytes}
 
 
 #: what a backend executes: a single job, or a grid of them sharing a
@@ -52,39 +79,21 @@ WorkUnit = Union[JobSpec, "GridSpec"]
 def plan_units(specs: Sequence[JobSpec]) -> List[WorkUnit]:
     """Partition unique cache-missing specs into shareable grids.
 
-    Specs that agree on everything a shared pass needs — workload (and
-    its content digest), window, scheme set, engine, and the config's
-    shared-stream fields — are merged into one :class:`GridSpec`;
-    everything else stays a standalone :class:`JobSpec`.  Units come
-    back in first-appearance order with members in input order, and
-    :func:`expand_units` of the result is a permutation-free re-listing
-    of the input (the sweep relies on answering by key, not position).
+    Eligible specs that agree on :func:`_unit_fields` — workload, window,
+    scheme set, engine and page size — are merged into one
+    :class:`GridSpec`; everything else stays a standalone
+    :class:`JobSpec`.  Units come back in first-appearance order with
+    members in input order, and :func:`expand_units` of the result is a
+    permutation-free re-listing of the input (the sweep relies on
+    answering by key, not position).
     """
     groups: Dict[tuple, List[JobSpec]] = {}
-    order: List[tuple] = []
-    solo_marker = object()
     for position, spec in enumerate(specs):
-        if grid_eligible(spec):
-            group_key = (
-                spec.workload, spec.workload_digest, spec.instructions,
-                spec.warmup, spec.schemes, spec.engine,
-                json.dumps(spec.config.grid_invariants(), sort_keys=True,
-                           separators=(",", ":")),
-            )
-        else:
-            group_key = (solo_marker, position)
-        if group_key not in groups:
-            groups[group_key] = []
-            order.append(group_key)
-        groups[group_key].append(spec)
-    units: List[WorkUnit] = []
-    for group_key in order:
-        members = groups[group_key]
-        if len(members) > 1:
-            units.append(GridSpec(members=tuple(members)))
-        else:
-            units.append(members[0])
-    return units
+        group_key = (tuple(_unit_fields(spec).values())
+                     if grid_eligible(spec) else (None, position))
+        groups.setdefault(group_key, []).append(spec)
+    return [GridSpec(members=tuple(members)) if len(members) > 1
+            else members[0] for members in groups.values()]
 
 
 def expand_units(units: Sequence[WorkUnit]) -> List[JobSpec]:
@@ -101,7 +110,7 @@ def expand_units(units: Sequence[WorkUnit]) -> List[JobSpec]:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """N same-stream JobSpecs evaluated in one shared pass."""
+    """N JobSpecs over one workload stream, scored in shared passes."""
 
     members: Tuple[JobSpec, ...]
 
@@ -113,30 +122,32 @@ class GridSpec:
         if not grid_eligible(anchor):
             raise ConfigError(
                 f"spec '{anchor.describe()}' cannot join a grid: grids "
-                "replay decoded trace:/import: workloads on the "
-                f"{'/'.join(GRID_ENGINES)} engines")
-        invariants = anchor.config.grid_invariants()
+                "replay trace:/import: workloads on the "
+                f"{'/'.join(GRID_ENGINES)} engines, or capture live "
+                "workloads on the fast engine")
+        shared = _unit_fields(anchor)
         seen = set()
         for position, member in enumerate(self.members):
-            for field in ("workload", "workload_digest", "instructions",
-                          "warmup", "schemes", "engine"):
-                if getattr(member, field) != getattr(anchor, field):
+            for field, value in _unit_fields(member).items():
+                if value != shared[field]:
                     raise ConfigError(
                         f"grid member {position} differs from member 0 "
-                        f"in '{field}' — a grid shares one decoded pass, "
-                        "so everything but the machine config must match")
-            if member.config.grid_invariants() != invariants:
-                raise ConfigError(
-                    f"grid member {position}'s config differs from "
-                    "member 0 outside the member fields (iTLB geometry, "
-                    "energy) — shared-stream fields like page size or "
-                    "iL1 addressing cannot vary within a grid")
+                        f"in '{field}' — a grid shares one stream per "
+                        "binary, so only the rest of the machine config "
+                        "may vary")
             if member.key in seen:
                 raise ConfigError(
                     f"grid member {position} duplicates an earlier "
                     "member (same content key); deduplicate before "
                     "building the grid")
             seen.add(member.key)
+
+    @cached_property
+    def sub_passes(self) -> int:
+        """Engine passes per binary: one per distinct set of
+        shared-stream fields (:meth:`MachineConfig.grid_invariants`)."""
+        return len({grid_invariants_key(member.config)
+                    for member in self.members})
 
     # -- convenience ---------------------------------------------------
 
@@ -146,9 +157,12 @@ class GridSpec:
 
     def describe(self) -> str:
         anchor = self.members[0]
-        entries = ",".join(str(m.config.itlb.entries) for m in self.members)
+        addressings = "/".join(dict.fromkeys(
+            m.config.il1_addressing.value for m in self.members))
+        entries = ",".join(dict.fromkeys(
+            str(m.config.itlb.entries) for m in self.members))
         return (f"grid[{len(self.members)}] {anchor.workload} "
-                f"[{anchor.config.il1_addressing.value}, iTLB {entries}] "
+                f"[{addressings}, iTLB {entries}] "
                 f"{anchor.instructions:,}i/{anchor.warmup:,}w")
 
     # -- identity ------------------------------------------------------
@@ -188,7 +202,7 @@ class GridSpec:
     # -- execution -----------------------------------------------------
 
     def run(self) -> List:
-        """Execute the shared pass; one CombinedRun per member, in
+        """Execute the shared passes; one CombinedRun per member, in
         member order (no caching — the sweep layer handles stores)."""
         from repro.sim.multi import run_all_schemes_grid
         from repro.workloads.registry import resolve

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.config import MachineConfig, SchemeName
+from repro.cpu.grid import grid_invariants_key
 from repro.cpu.results import EngineResult, SchemeResult, SharedStats
+from repro.errors import ConfigError
 from repro.sim.simulator import Simulator, run_program_grid
 from repro.workloads.synthetic import SyntheticWorkload
 
@@ -188,35 +190,56 @@ def run_all_schemes_grid(
 ) -> List[CombinedRun]:
     """:func:`run_all_schemes` for a whole config grid in shared passes.
 
-    One plain-binary pass (and, when instrumented schemes are selected,
-    one instrumented-binary pass) scores every member of ``configs``
-    side by side via :func:`~repro.sim.simulator.run_program_grid`.
+    Each binary is linked once.  A live workload's committed stream is
+    then captured once, in memory (:func:`~repro.trace.record.
+    capture_replay`), and the linked program dropped; a replayed
+    workload already links to its decoded stream.  Every config is
+    scored on that one stream via
+    :func:`~repro.sim.simulator.run_program_grid`, one sub-pass per
+    group of configs that share :meth:`~repro.config.MachineConfig.
+    grid_invariants` (so iL1 addressing, say, may differ across
+    ``configs``; page size may not — it shapes the stream itself).
+
     Returns one :class:`CombinedRun` per config, in order, each
     bit-identical to an independent :func:`run_all_schemes` call —
     including the instrumented-aliases-plain object identity when no
     instrumented scheme is requested.
     """
+    from repro.trace.record import capture_replay
+
+    if not configs:
+        raise ConfigError("a config grid needs at least one member")
+    page_bytes = configs[0].mem.page_bytes
+    sub_passes: Dict[str, List[int]] = {}
+    for position, config in enumerate(configs):
+        sub_passes.setdefault(grid_invariants_key(config),
+                              []).append(position)
     selected = tuple(schemes) if schemes is not None else tuple(SchemeName)
     plain_set = tuple(s for s in selected if not s.needs_instrumented_binary)
     instr_set = tuple(s for s in selected if s.needs_instrumented_binary)
-    page_bytes = configs[0].mem.page_bytes if configs else 0
 
-    plain_program = workload.link(page_bytes=page_bytes, instrumented=False)
-    plain_results = run_program_grid(
-        plain_program, configs, instructions=instructions, warmup=warmup,
-        schemes=plain_set or (SchemeName.BASE,), engine=engine)
+    def score(instrumented: bool,
+              scheme_set: Sequence[SchemeName]) -> List[EngineResult]:
+        program = workload.link(page_bytes=page_bytes,
+                                instrumented=instrumented)
+        if getattr(program, "segment", None) is None:
+            program = capture_replay(program,
+                                     instructions=warmup + instructions)
+        results: List[Optional[EngineResult]] = [None] * len(configs)
+        for positions in sub_passes.values():
+            scored = run_program_grid(
+                program, [configs[i] for i in positions],
+                instructions=instructions, warmup=warmup,
+                schemes=scheme_set, engine=engine)
+            for position, result in zip(positions, scored):
+                results[position] = result
+        return results
 
-    if instr_set:
-        instr_program = workload.link(page_bytes=page_bytes,
-                                      instrumented=True)
-        # Base rides along on the instrumented binary purely as the
-        # same-binary normalization reference (see CombinedRun._base_for)
-        instr_results = run_program_grid(
-            instr_program, configs, instructions=instructions,
-            warmup=warmup, schemes=instr_set + (SchemeName.BASE,),
-            engine=engine)
-    else:
-        instr_results = plain_results
+    plain_results = score(False, plain_set or (SchemeName.BASE,))
+    # Base rides along on the instrumented binary purely as the
+    # same-binary normalization reference (see CombinedRun._base_for)
+    instr_results = (score(True, instr_set + (SchemeName.BASE,))
+                     if instr_set else plain_results)
 
     return [
         CombinedRun(

@@ -72,10 +72,11 @@ def run_program_grid(program: Program, configs: Sequence[MachineConfig], *,
 
     The grid evaluator is replay-only (it rides on the batch engine's
     decoded columns), so ``engine`` must be ``"fast"`` or ``"batch"``
-    and ``program`` must carry a decoded segment.  Returns one energy-
-    attached result per config, in order, each bit-identical to the
-    result :meth:`Simulator.run_program` would produce for that config
-    alone.
+    and ``program`` must carry a decoded segment (a trace's, or a live
+    program's :func:`~repro.trace.record.capture_replay`).  Returns one
+    energy-attached result per config, in order, each bit-identical to
+    the result :meth:`Simulator.run_program` would produce for that
+    config alone.
     """
     if engine not in ("fast", "batch"):
         raise ConfigError(

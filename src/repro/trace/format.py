@@ -63,6 +63,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import TraceError
 from repro.isa.instructions import ANALYZABLE_KINDS, Instruction, Opcode
+from repro.isa.registers import FP_REG_COUNT, INT_REG_COUNT
 
 MAGIC = b"RITLBTRC"
 TRACE_VERSION = 1
@@ -78,6 +79,9 @@ _STATIC = struct.Struct("<IBBBBiIB")
 _U8 = struct.Struct("<B")
 _U32 = struct.Struct("<I")
 _NO_TARGET = 0xFFFFFFFF
+
+#: operand bytes index the integer or the FP register file
+_REG_COUNT = min(INT_REG_COUNT, FP_REG_COUNT)
 
 _STATIC_FLAG_INPAGE = 0x01
 _STATIC_FLAG_BOUNDARY = 0x02
@@ -102,12 +106,29 @@ def aux_kind(kind_code: int) -> int:
     return AUX_NONE
 
 
-def program_meta(program, binary: str) -> dict:
+def step_aux(kind: int, step) -> int:
+    """The dynamic payload one committed step contributes to its record
+    (``kind`` is :func:`aux_kind` of the step's instruction): the branch
+    outcome as 0/1, the indirect target, the memory address, or -1 when
+    the instruction itself supplies everything.  Written to disk by
+    :meth:`TraceWriter.write_step` and kept in memory by
+    :func:`repro.trace.record.capture_replay` — one definition of a
+    record for both."""
+    if kind == AUX_TAKEN:
+        return 1 if step.taken else 0
+    if kind == AUX_NEXT_PC:
+        return step.next_pc
+    if kind == AUX_MEM_ADDR:
+        return step.mem_addr
+    return -1
+
+
+def program_meta(program) -> dict:
     """The segment metadata replay needs: which binary this is, plus the
     program geometry that makes :class:`~repro.vm.os_model.AddressSpace`
     construction (and therefore frame allocation) deterministic."""
     return {
-        "binary": binary,
+        "binary": "instrumented" if program.instrumented else "plain",
         "name": program.name,
         "text_base": program.text_base,
         "text_words": len(program.instructions),
@@ -208,12 +229,11 @@ class TraceWriter:
         self._fh.write(_U8.pack(TAG_STEP))
         self._fh.write(_U32.pack(index))
         kind = aux_kind(instr.kind_code)
+        aux = step_aux(kind, step)
         if kind == AUX_TAKEN:
-            self._fh.write(_U8.pack(1 if step.taken else 0))
-        elif kind == AUX_NEXT_PC:
-            self._fh.write(_U32.pack(step.next_pc))
-        elif kind == AUX_MEM_ADDR:
-            self._fh.write(_U32.pack(step.mem_addr))
+            self._fh.write(_U8.pack(aux))
+        elif kind != AUX_NONE:
+            self._fh.write(_U32.pack(aux))
         self.steps_written += 1
 
     # -- lifecycle -----------------------------------------------------
@@ -660,6 +680,11 @@ def _decode_static(payload: bytes, path: Path) -> Instruction:
     op = _NUM_TO_OP.get(opnum)
     if op is None:
         raise TraceError(f"{path}: unknown opcode number {opnum}")
+    if max(rd, rs, rt) >= _REG_COUNT:
+        # the engines index their register files with these bytes
+        raise TraceError(
+            f"{path}: instruction ({op.mnemonic}) at {address:#010x} "
+            f"names register {max(rd, rs, rt)}; the ISA has {_REG_COUNT}")
     if op.kind in ANALYZABLE_KINDS and target == _NO_TARGET:
         # direct control flow must carry its taken target or replay
         # would produce a None next_pc deep inside the engine

@@ -12,6 +12,13 @@ standard two-pass :func:`~repro.sim.multi.run_all_schemes` evaluation
 with a recorder attached, producing a trace with one segment per binary
 *and* returning the live run, so callers can immediately check
 record→replay equivalence.
+
+:func:`capture_replay` is the in-memory form: it steps a live program
+through a window and keeps the same ``(static index, aux)`` records a
+trace file would hold, wrapped as a
+:class:`~repro.trace.replay.ReplayProgram` the batch and grid engines
+can replay — the way a live grid unit shares one execution between many
+machine configurations.
 """
 
 from __future__ import annotations
@@ -20,7 +27,13 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from repro.config import MachineConfig, SchemeName
-from repro.trace.format import TraceWriter, program_meta
+from repro.trace.format import (
+    TraceSegment,
+    TraceWriter,
+    aux_kind,
+    program_meta,
+    step_aux,
+)
 
 
 class _RecordingExecutor:
@@ -72,8 +85,7 @@ class TraceRecorder:
     def attach(self, executor, program) -> _RecordingExecutor:
         """Called by the engine at construction: opens a segment for
         ``program``'s binary and returns the wrapped executor."""
-        binary = "instrumented" if program.instrumented else "plain"
-        self.writer.begin_segment(program_meta(program, binary))
+        self.writer.begin_segment(program_meta(program))
         return _RecordingExecutor(executor, self.writer)
 
     def close(self) -> None:
@@ -137,3 +149,39 @@ def record_trace(workload, config: MachineConfig, *,
             if size == config.mem.page_bytes:
                 primary = run
         return primary
+
+
+def capture_replay(program, *, instructions: int):
+    """Execute ``program`` for ``instructions`` useful (non-boundary)
+    instructions and return its committed stream as an in-memory
+    :class:`~repro.trace.replay.ReplayProgram`.
+
+    The segment holds exactly what :class:`TraceRecorder` would write for
+    an engine pass over the same window (``warmup + instructions`` of a
+    job): the statics in first-execution order and one ``(static index,
+    aux)`` record per step, so replaying it is bit-identical to the live
+    run.  The replay keeps only the executed instructions, not
+    ``program`` itself.
+    """
+    from repro.trace.replay import ReplayProgram
+    from repro.vm.os_model import AddressSpace
+
+    executor = program.make_executor(AddressSpace(program))
+    segment = TraceSegment(meta=program_meta(program))
+    statics = segment.instructions
+    records = segment.records
+    #: id(instruction) -> (static index, aux kind)
+    interned = {}
+    useful = 0
+    while useful < instructions and not executor.halted:
+        step = executor.step()
+        instr = step.instr
+        entry = interned.get(id(instr))
+        if entry is None:
+            entry = (len(statics), aux_kind(instr.kind_code))
+            interned[id(instr)] = entry
+            statics.append(instr)
+        records.append((entry[0], step_aux(entry[1], step)))
+        if not instr.is_boundary_branch:
+            useful += 1
+    return ReplayProgram(segment)

@@ -520,7 +520,11 @@ class TestFileQueue:
         for ser, que in zip(serial, results):
             assert que.ok, que.error
             assert _canonical(ser.run) == _canonical(que.run)
-        assert sum(s.executed for s in stats) == len(specs)
+        # each workload's two geometries share one grid unit: one job
+        # file per workload, every job inside exactly one of them
+        assert runner.last_stats.grids == 2
+        assert runner.last_stats.grid_members == len(specs)
+        assert sum(s.executed for s in stats) == 2
         assert sum(s.failed for s in stats) == 0
         # queue fully drained, store holds exactly one entry per job
         assert FileQueue(root).idle()

@@ -29,7 +29,14 @@ from repro.config import (
 from repro.cpu.batch import BatchEngine
 from repro.cpu.fast import FastEngine
 from repro.errors import ConfigError, TraceError
-from repro.runner import FileQueueBackend, JobSpec, ResultStore, SweepRunner
+from repro.runner import (
+    FileQueue,
+    FileQueueBackend,
+    JobSpec,
+    ResultStore,
+    SweepRunner,
+)
+from repro.runner.gridspec import GridSpec, grid_eligible, plan_units
 from repro.sim.multi import run_all_schemes
 from repro.sim.simulator import Simulator
 from repro.trace.format import (
@@ -176,20 +183,45 @@ class TestSweepEquivalence:
 #: the member geometries every grid-equivalence case sweeps
 GRID_ENTRIES = (1, 8, 32)
 
+#: live grid members: both iL1 addressings x two iTLB geometries — one
+#: unit (one link and capture per binary), two sub-passes
+LIVE_GRID_CONFIGS = tuple(
+    default_config(addressing).with_itlb(geometry)
+    for addressing in (CacheAddressing.VIPT, CacheAddressing.VIVT)
+    for geometry in (TLBConfig(entries=8), TLBConfig(entries=32, assoc=4)))
 
-def _grid_specs(name: str, instructions: int, warmup: int):
-    return [JobSpec(workload=name,
-                    config=default_config().with_itlb(
-                        TLBConfig(entries=entries)),
+#: live windows: the mesa stand-in and a microbenchmark
+LIVE_GRID_WORKLOADS = {"177.mesa": (MESA_INSTRUCTIONS, MESA_WARMUP),
+                       "micro.call_return": (MICRO_INSTRUCTIONS,
+                                             MICRO_WARMUP)}
+
+
+def _grid_specs(name: str, instructions: int, warmup: int,
+                configs=None):
+    if configs is None:
+        configs = [default_config().with_itlb(TLBConfig(entries=entries))
+                   for entries in GRID_ENTRIES]
+    return [JobSpec(workload=name, config=config,
                     instructions=instructions, warmup=warmup)
-            for entries in GRID_ENTRIES]
+            for config in configs]
+
+
+def _store_entries(root: Path) -> dict:
+    """Every store entry under ``root`` by file name, wall-clock metrics
+    stripped (the only part two runs of one job may differ in)."""
+    entries = {}
+    for path in sorted(root.glob("*.json")):
+        entry = json.loads(path.read_text())
+        entry.pop("metrics", None)
+        entries[path.name] = entry
+    return entries
 
 
 def _assert_grid_identical(name, instructions, warmup, tmp_path,
-                           **runner_kwargs):
+                           configs=None, **runner_kwargs):
     """A gridded sweep must byte-match per-member independent jobs —
     results *and* store entries (same content under the same keys)."""
-    specs = _grid_specs(name, instructions, warmup)
+    specs = _grid_specs(name, instructions, warmup, configs)
     solo = SweepRunner(store=ResultStore(tmp_path / "solo"), grid=False)
     solo_results = solo.run(specs)
     assert solo.last_stats.grids == 0
@@ -204,8 +236,55 @@ def _assert_grid_identical(name, instructions, warmup, tmp_path,
         assert many.spec.key == one.spec.key
         assert _canon(one.run) == _canon(many.run)
     # every member lands under its unchanged content-addressed key
-    assert (sorted(p.name for p in (tmp_path / "solo").glob("*.json"))
-            == sorted(p.name for p in (tmp_path / "grid").glob("*.json")))
+    solo_entries = _store_entries(tmp_path / "solo")
+    assert len(solo_entries) == len(specs)
+    assert solo_entries == _store_entries(tmp_path / "grid")
+
+
+class TestGridPlanning:
+    """The unit rule: same workload, window, scheme set, engine and page
+    size; iL1 addressing and iTLB geometry may vary within a unit."""
+
+    def test_live_specs_form_one_unit_across_addressings(self):
+        specs = _grid_specs("177.mesa", 2_000, 300, LIVE_GRID_CONFIGS)
+        (unit,) = plan_units(specs)
+        assert isinstance(unit, GridSpec)
+        assert unit.members == tuple(specs)
+        assert unit.sub_passes == 2
+        assert "vi-pt/vi-vt" in unit.describe()
+
+    def test_page_size_splits_units(self):
+        small = [c.with_page_bytes(4096) for c in LIVE_GRID_CONFIGS[:2]]
+        large = [c.with_page_bytes(8192) for c in LIVE_GRID_CONFIGS[:2]]
+        units = plan_units(_grid_specs("177.mesa", 2_000, 300,
+                                       small + large))
+        assert [len(u.members) for u in units] == [2, 2]
+        with pytest.raises(ConfigError, match="'page size'"):
+            GridSpec(members=tuple(_grid_specs(
+                "177.mesa", 2_000, 300, [small[0], large[1]])))
+
+    def test_solo_and_ineligible_specs_stay_jobs(self):
+        """A live job with no partner stays solo (scalar engine); live
+        jobs on a forced engine never grid."""
+        lone = _grid_specs("micro.call_return", 2_000, 300,
+                           LIVE_GRID_CONFIGS[:1])
+        forced = [JobSpec(workload="177.mesa", config=config,
+                          instructions=2_000, warmup=300, engine=engine)
+                  for engine in ("scalar", "batch")
+                  for config in LIVE_GRID_CONFIGS[:2]]
+        assert not any(grid_eligible(spec) for spec in forced)
+        units = plan_units(lone + forced)
+        assert units == lone + forced
+        with pytest.raises(ConfigError, match="cannot join a grid"):
+            GridSpec(members=tuple(forced[:2]))
+
+    def test_window_mismatch_rejected(self):
+        specs = (_grid_specs("177.mesa", 2_000, 300, LIVE_GRID_CONFIGS[:1])
+                 + _grid_specs("177.mesa", 2_000, 400,
+                               LIVE_GRID_CONFIGS[1:2]))
+        assert len(plan_units(specs)) == 2
+        with pytest.raises(ConfigError, match="'warmup'"):
+            GridSpec(members=tuple(specs))
 
 
 class TestGridEquivalence:
@@ -229,6 +308,36 @@ class TestGridEquivalence:
     ], ids=["eio", "gem5"])
     def test_imported_fixtures(self, name, tmp_path):
         _assert_grid_identical(name, 600, 100, tmp_path)
+
+    @pytest.mark.parametrize("name", sorted(LIVE_GRID_WORKLOADS))
+    def test_live_workloads(self, name, tmp_path):
+        """A live unit links and executes each binary once, then scores
+        VI-PT and VI-VT members in two sub-passes."""
+        _assert_grid_identical(name, *LIVE_GRID_WORKLOADS[name], tmp_path,
+                               configs=LIVE_GRID_CONFIGS)
+
+    @pytest.mark.parametrize("name", sorted(LIVE_GRID_WORKLOADS))
+    def test_live_workloads_through_pool_backend(self, name, tmp_path):
+        _assert_grid_identical(name, *LIVE_GRID_WORKLOADS[name], tmp_path,
+                               configs=LIVE_GRID_CONFIGS, workers=2,
+                               backend="pool")
+
+    def test_live_grid_through_real_worker_queue(self, tmp_path):
+        """A live unit crosses the queue as one job file; two real
+        workers drain it and every member lands under its own key."""
+        root = tmp_path / "q"
+        workers = _spawn_workers(root)
+        try:
+            backend = FileQueueBackend(root, poll_seconds=0.05,
+                                       timeout=300)
+            _assert_grid_identical(
+                "micro.call_return", MICRO_INSTRUCTIONS, MICRO_WARMUP,
+                tmp_path, configs=LIVE_GRID_CONFIGS, backend=backend)
+            assert FileQueue(root).idle()
+            assert (_store_entries(backend.store_root)
+                    == _store_entries(tmp_path / "solo"))
+        finally:
+            _stop_workers(workers)
 
     def test_two_grids_through_pool_backend(self, tmp_path):
         """Two grids cross the pool wire as two payloads and come back
@@ -265,15 +374,7 @@ class TestGridEquivalence:
         solo_results = solo.run(specs)
 
         root = tmp_path / "q"
-        src = Path(repro.__file__).parents[1]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = f"{src}{os.pathsep}" \
-            + env.get("PYTHONPATH", "")
-        workers = [subprocess.Popen(
-            [sys.executable, "-m", "repro", "worker", str(root),
-             "--poll", "0.05", "--idle-exit", "60"],
-            env=env, stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL) for _ in range(2)]
+        workers = _spawn_workers(root)
         try:
             backend = FileQueueBackend(root, poll_seconds=0.05,
                                        timeout=300)
@@ -289,10 +390,26 @@ class TestGridEquivalence:
             assert (len(list(backend.store_root.glob("*.json")))
                     == len(specs))
         finally:
-            for worker in workers:
-                if worker.poll() is None:
-                    worker.kill()
-                worker.wait(timeout=30)
+            _stop_workers(workers)
+
+
+def _spawn_workers(root: Path, count: int = 2):
+    """``count`` real ``repro worker`` processes draining ``root``."""
+    src = Path(repro.__file__).parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = f"{src}{os.pathsep}" + env.get("PYTHONPATH", "")
+    return [subprocess.Popen(
+        [sys.executable, "-m", "repro", "worker", str(root),
+         "--poll", "0.05", "--idle-exit", "60"],
+        env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL) for _ in range(count)]
+
+
+def _stop_workers(workers) -> None:
+    for worker in workers:
+        if worker.poll() is None:
+            worker.kill()
+        worker.wait(timeout=30)
 
 
 class TestEngineSelection:

@@ -238,8 +238,13 @@ class TestCLISweep:
         # repeat: served entirely from the on-disk store
         assert cli_main(args) == 0
         second = json.loads(capsys.readouterr().out)
+        # the cold run shared one pass per workload; the cached run
+        # simulates nothing, so it plans no grids either
+        assert (first["stats"]["grids"],
+                first["stats"]["grid_members"]) == (2, 4)
         assert second["stats"] == {**first["stats"], "cached": 4,
-                                   "simulated": 0, "parallel": False}
+                                   "simulated": 0, "parallel": False,
+                                   "grids": 0, "grid_members": 0}
         for a, b in zip(first["jobs"], second["jobs"]):
             assert b["cached"] and a["result"] == b["result"]
 

@@ -13,7 +13,7 @@ import time
 import pytest
 
 from repro import telemetry
-from repro.config import TLBConfig, default_config
+from repro.config import CacheAddressing, TLBConfig, default_config
 from repro.errors import ReproError
 from repro.runner import (
     FileQueueBackend,
@@ -298,11 +298,38 @@ class TestJobMetrics:
         assert "__metrics__" not in run.to_dict()
 
     def test_pool_backend_attaches_metrics(self):
+        """Both evaluators report through the pool: the two counted_loop
+        geometries share one grid unit (batch passes over a captured
+        stream); the lone call_return job runs solo on the scalar
+        engine."""
         runner = SweepRunner(workers=2, backend="pool")
-        results = runner.run([_spec(entries=8), _spec(entries=32)])
+        results = runner.run([_spec(entries=8), _spec(entries=32),
+                              _spec(workload="micro.call_return")])
+        assert runner.last_stats.grids == 1
         for result in results:
             assert result.metrics is not None
-            assert result.metrics.engine == "scalar"
+            assert result.metrics.instructions > 0
+        assert [(r.metrics.engine, r.metrics.grid_members)
+                for r in results] == [("batch", 2), ("batch", 2),
+                                      ("scalar", 0)]
+
+    def test_grid_member_counts_one_sub_pass(self):
+        """A unit spanning two iL1 addressings runs two sub-passes per
+        binary; each member's metrics count only its own two passes —
+        the same retired instructions its solo run reports."""
+        specs = [JobSpec(workload="micro.counted_loop",
+                         config=default_config(addressing),
+                         instructions=2_000, warmup=400)
+                 for addressing in (CacheAddressing.VIPT,
+                                    CacheAddressing.VIVT)]
+        solo = SweepRunner(grid=False).run(specs)
+        runner = SweepRunner()
+        gridded = runner.run(specs)
+        assert runner.last_stats.grids == 1
+        for one, many in zip(solo, gridded):
+            assert many.metrics.grid_members == 2
+            assert many.metrics.passes == one.metrics.passes == 2
+            assert many.metrics.instructions == one.metrics.instructions
 
     def test_failed_job_has_no_metrics(self):
         bad = JobSpec(workload="trace:/nonexistent.trace",

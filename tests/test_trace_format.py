@@ -10,8 +10,11 @@ import gzip
 import json
 import struct
 
+from pathlib import Path
+
 import pytest
 
+from repro.config import default_config
 from repro.cpu.functional import StepResult
 from repro.errors import TraceError
 from repro.isa.instructions import Instruction, Opcode
@@ -24,7 +27,12 @@ from repro.trace.format import (
     TraceReader,
     TraceWriter,
     file_digest,
+    load_trace,
 )
+from repro.sim.multi import run_all_schemes
+from repro.trace.replay import TraceWorkload
+
+GOLDEN_MESA = Path(__file__).parent / "golden" / "mesa.trace.gz"
 
 
 def _meta(**overrides):
@@ -221,6 +229,26 @@ class TestMalformedInput:
                          + b"{}" + body)
         with pytest.raises(TraceError, match="has no target"):
             TraceReader(path).read()
+
+    @pytest.mark.parametrize("stream", [False, True],
+                             ids=["eager", "streaming"])
+    def test_register_byte_out_of_range_rejected(self, tmp_path, stream):
+        """A static naming register 200 must fail as a TraceError from
+        either decoder — not as an IndexError inside an engine."""
+        raw = bytearray(gzip.decompress(GOLDEN_MESA.read_bytes()))
+        (hlen,) = struct.unpack_from("<I", raw, 12)
+        segment = struct.calcsize("<8sHHI") + hlen
+        assert raw[segment] == TAG_SEGMENT
+        (mlen,) = struct.unpack_from("<I", raw, segment + 1)
+        static = segment + 5 + mlen
+        assert raw[static] == TAG_STATIC  # statics precede their steps
+        raw[static + 1 + 5] = 200  # the rd byte, after address and op
+        path = tmp_path / "badreg.trace.gz"
+        path.write_bytes(gzip.compress(bytes(raw)))
+        with pytest.raises(TraceError, match="names register 200"):
+            trace = load_trace(path, use_cache=False, stream=stream)
+            run_all_schemes(TraceWorkload(path, trace), default_config(),
+                            instructions=3000, warmup=500)
 
     def test_unwritable_output_is_a_trace_error(self, tmp_path):
         with pytest.raises(TraceError, match="cannot write"):

@@ -21,7 +21,10 @@ from repro.config import (
 from repro.errors import RegistryError, TraceError
 from repro.runner import JobSpec, ResultStore, SweepRunner
 from repro.sim.multi import run_all_schemes
+from repro.isa.instructions import Opcode
 from repro.trace import TraceWorkload, load_trace_workload, record_trace
+from repro.trace.format import load_trace
+from repro.trace.record import capture_replay
 from repro.workloads import registry
 
 
@@ -135,6 +138,46 @@ class TestRecordReplayEquivalence:
             run_all_schemes(load_trace_workload(path), default_config(),
                             instructions=200, warmup=0, engine="ooo",
                             schemes=(SchemeName.IA,))
+
+
+def _static_fields(instr) -> tuple:
+    """What a trace's static entry records of an instruction (a live
+    instruction also carries its source label, which traces drop)."""
+    return (instr.address, instr.op, instr.rd, instr.rs, instr.rt,
+            instr.imm, instr.target, instr.inpage_hint,
+            instr.is_boundary_branch)
+
+
+class TestInMemoryCapture:
+    """``capture_replay`` keeps exactly the segment ``record_trace``
+    writes and ``load_trace`` decodes — one definition of a record."""
+
+    @pytest.mark.parametrize("name", ["177.mesa", "micro.call_return"])
+    def test_capture_equals_recorded_segment(self, name, trace_dir):
+        config = default_config()
+        path = trace_dir / f"{name}.capture.trace.gz"
+        record_trace(name, config, instructions=2000, warmup=300,
+                     path=path)
+        trace = load_trace(path, use_cache=False)
+        workload = registry.resolve(name)
+        for instrumented in (False, True):
+            recorded = trace.segment_for(instrumented=instrumented,
+                                         page_bytes=4096)
+            captured = capture_replay(
+                workload.link(page_bytes=4096, instrumented=instrumented),
+                instructions=2300).segment
+            assert captured.meta == recorded.meta
+            assert captured.records == recorded.records
+            assert ([_static_fields(i) for i in captured.instructions]
+                    == [_static_fields(i) for i in recorded.instructions])
+
+    def test_capture_stops_at_halt(self):
+        """A window longer than the program captures up to its halt."""
+        workload = registry.resolve("micro.counted_loop")
+        captured = capture_replay(workload.link(),
+                                  instructions=10_000_000).segment
+        last = captured.instructions[captured.records[-1][0]]
+        assert last.op is Opcode.HALT
 
 
 class TestRegistryIntegration:
