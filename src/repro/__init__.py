@@ -59,7 +59,6 @@ from repro.errors import (
 )
 from repro.runner import JobResult, JobSpec, ResultStore, SweepRunner
 from repro.trace import (
-    TraceRecorder,
     TraceWorkload,
     load_trace,
     load_trace_workload,
@@ -126,7 +125,6 @@ __all__ = [
     "TWO_LEVEL_MONOLITHIC_BASELINES",
     "TWO_LEVEL_SWEEP",
     "TraceError",
-    "TraceRecorder",
     "TraceWorkload",
     "TwoLevelTLBConfig",
     "WorkloadProfile",

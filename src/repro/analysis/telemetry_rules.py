@@ -2,9 +2,9 @@
 
 PR 6's observability layer is cheap because it is *amortized*: one
 ``emit``/``count``/``span`` per phase, never per instruction.  The
-batched replay engines (``cpu/fast.py``, ``cpu/batch.py``,
-``cpu/grid.py``) process millions of trace records per second through
-run-length inner loops; a single telemetry call lexically inside one
+engine modules (``cpu/fast.py``'s column loop, its ``cpu/batch.py``
+alias and ``cpu/grid.py``) process millions of stream records per
+second through run-length inner loops; a single telemetry call lexically inside one
 of those loop bodies turns an O(phases) cost into an O(instructions)
 cost and destroys the PR 5 speedup the bench harness pins.
 

@@ -2,32 +2,30 @@
 ``benchmarks/bench_engines.py``).
 
 Measures replay throughput (instructions per second, min-of-N wall
-clock) for the two fast-engine evaluators over recorded traces, and
+clock) of the fast engine's column loop over recorded traces, and
 writes a machine-readable ``BENCH_<n>.json`` so the repository carries a
 performance *trajectory*: every PR that touches a hot path can re-run
 the bench and compare against the committed numbers instead of
 asserting speedups in prose.
 
-Three views are measured per workload:
+Four views are measured per workload:
 
 ``engine``
-    One plain-binary engine pass over an already-decoded trace —
-    :class:`~repro.cpu.fast.FastEngine` (``scalar``) vs
-    :class:`~repro.cpu.batch.BatchEngine` (``batch``).  Isolates the
-    hot-loop win; decode time is excluded for both.
+    One plain-binary :class:`~repro.cpu.fast.FastEngine` pass over an
+    already-decoded trace (the ``batch`` row): the hot loop alone,
+    decode excluded.  For :data:`SCALAR_REFERENCE`'s workload its
+    calibrated throughput is compared with the frozen figure of the
+    per-step evaluator the loop replaced — the ``--fail-below`` floor.
 ``job``
     A full :func:`~repro.sim.multi.run_all_schemes` evaluation (both
     binary passes, all schemes, energy attached) the way a sweep job
-    runs it.  The ``scalar`` row resolves the workload with a cold
-    decoded-trace cache before every run — the pre-batching per-job
-    cost, where each job re-gunzips and re-decodes the file — while the
-    ``batch`` row resolves through the warm per-process LRU.
+    runs it.  The ``cold`` row clears the decoded-trace cache before
+    every run, so each job re-gunzips and re-decodes the file; the
+    ``warm`` row resolves through the per-process LRU.
 ``grid``
-    A :data:`GRID_POINTS`-geometry iTLB sweep.  The ``scalar``-named
-    row runs one independent :func:`~repro.sim.multi.run_all_schemes`
-    job per geometry (each already on the batched evaluator — this is
-    the pre-grid sweep cost); the ``batch``-named row evaluates every
-    geometry in one shared
+    A :data:`GRID_POINTS`-geometry iTLB sweep: the ``solo`` row runs
+    one independent :func:`~repro.sim.multi.run_all_schemes` job per
+    geometry, the ``grid`` row evaluates every geometry in one shared
     :func:`~repro.sim.multi.run_all_schemes_grid` pass.  Both rows
     retire the same summed instruction count, so the speedup ratio is
     a pure wall-clock ratio.
@@ -38,14 +36,16 @@ Three views are measured per workload:
     of the largest segment's columns (``windowed`` row).  Each row
     records ``peak_window_bytes`` — the largest decoded window a run
     held at once (for eager, the full segment) — so the JSON carries
-    the memory bound next to the throughput cost of honouring it.  The
-    two runs are compared for bit-identity, like every other view.
+    the memory bound next to the throughput cost of honouring it.
 
 Timing uses ``time.perf_counter`` around engine execution only (trace
 recording and column decoding happen before the timed region, except in
-the cold-resolve ``job`` baseline, where re-decoding *is* the point).
-One scalar/batch result pair per workload is compared for bit-identity,
-so a bench run doubles as an equivalence check.
+the ``cold`` job row, where re-decoding *is* the point).  The two rows
+of every paired view are compared for bit-identity, so a bench run
+doubles as an equivalence check.  Every report also records
+``calibration_seconds``, the time of a fixed pure-Python loop
+(:func:`calibrate`): instr/s times that figure is throughput with the
+host's speed divided out, comparable across machines and bench files.
 """
 
 from __future__ import annotations
@@ -73,14 +73,30 @@ from repro.trace.replay import TraceWorkload
 from repro.workloads.registry import resolve
 
 #: bump when the JSON layout changes incompatibly
-BENCH_FORMAT = 1
+BENCH_FORMAT = 2
+
+#: iterations of the fixed host-speed calibration loop
+CALIBRATION_LOOP = 1_000_000
+
+#: the per-step (scalar) evaluator's engine view on the ``--quick`` mesa
+#: configuration, frozen at the last tree that had that evaluator
+#: (CPython 3.11.7, two-CPU shared VM): the median of three runs by
+#: calibrated throughput, each run min-of-3.  ``BENCH_14.json`` carries
+#: it, and every report repeats it.
+SCALAR_REFERENCE = {
+    "workload": "177.mesa",
+    "instructions": 30_000,
+    "warmup": 5_000,
+    "instr_per_sec": 105893.04635923516,
+    "calibration_seconds": 0.12090057999921555,
+}
 
 #: workloads benched by default (full mode); ``--quick`` keeps only mesa
 DEFAULT_WORKLOADS = ("177.mesa", "micro.straight_line",
                      "micro.taken_pattern")
 
-#: the workload every floor check applies to must be present
-MESA = "177.mesa"
+#: the workload ``--quick`` benches (the reference's)
+MESA = SCALAR_REFERENCE["workload"]
 
 #: iTLB geometries the ``grid`` view sweeps (fully associative entries)
 GRID_POINTS = (1, 2, 4, 8, 16, 32)
@@ -88,10 +104,12 @@ GRID_POINTS = (1, 2, 4, 8, 16, 32)
 
 @dataclass
 class BenchRecord:
-    """One (workload, evaluator, view) measurement."""
+    """One (workload, row, view) measurement."""
 
     workload: str
-    engine: str  #: "scalar" | "batch" ("eager" | "windowed" in "stream")
+    #: the row: "batch" (engine view), "cold" | "warm" (job),
+    #: "solo" | "grid" (grid), "eager" | "windowed" (stream)
+    engine: str
     mode: str  #: "engine" (one pass) | "job" (full run_all_schemes)
     #:  | "grid" (N-geometry sweep) | "stream" (decode-strategy trade)
     instructions: int  #: instructions retired per timed run
@@ -140,22 +158,62 @@ def ensure_trace(workload: str, trace_dir: Union[str, Path], *,
     return path
 
 
+def calibrate(repeats: int = 3) -> float:
+    """Seconds for a fixed pure-Python loop (best of ``repeats``): the
+    host-speed yardstick that makes instr/s comparable across machines
+    and across bench files."""
+    best = None
+    for _ in range(repeats):
+        started = time.perf_counter()
+        total = 0
+        for i in range(CALIBRATION_LOOP):
+            total += i * i % 7
+        seconds = time.perf_counter() - started
+        best = seconds if best is None else min(best, seconds)
+    return best
+
+
+def calibrated(instr_per_sec: float, calibration_seconds: float) -> float:
+    """Instructions per calibration loop — instr/s with host speed
+    divided out."""
+    return instr_per_sec * calibration_seconds
+
+
 def bench_workload(workload: str, trace_path: Union[str, Path], *,
                    instructions: int, warmup: int, repeats: int,
                    config: Optional[MachineConfig] = None,
                    log: Callable[[str], None] = lambda _: None
                    ) -> List[BenchRecord]:
-    """Bench one recorded trace; returns the four measurement records
-    (scalar/batch × engine/job).  Raises :class:`RuntimeError` if the
-    two evaluators ever disagree — a bench must never publish numbers
-    for diverging engines."""
-    from repro.cpu.batch import BatchEngine
+    """Bench one recorded trace; returns one ``engine`` record and a
+    pair each for ``job``, ``grid`` and ``stream``.  Raises
+    :class:`RuntimeError` if the two rows of a pair ever disagree — a
+    bench must never publish numbers for diverging paths."""
     from repro.cpu.fast import FastEngine
 
     config = config or default_config()
     trace_path = Path(trace_path)
     trace_name = f"trace:{trace_path}"
     records: List[BenchRecord] = []
+
+    def record(engine_name: str, mode: str, timed: tuple,
+               note: str = "", **extra) -> None:
+        best, mean, retired = timed
+        records.append(BenchRecord(
+            workload=workload, engine=engine_name, mode=mode,
+            instructions=retired, repeats=repeats, best_seconds=best,
+            mean_seconds=mean, instr_per_sec=retired / best, **extra))
+        log(f"{workload:24s} {engine_name:8s} {mode:6s} "
+            f"{retired / best:>11,.0f} instr/s (best of {repeats}: "
+            f"{best:.3f}s{note})")
+
+    def same(runs: Sequence, what: str) -> None:
+        first, second = (json.dumps(run.to_dict(), sort_keys=True)
+                         for run in runs)
+        if first != second:
+            raise RuntimeError(
+                f"bench aborted: {what} diverged on {workload} — run the "
+                "equivalence suites (tests/test_batch_engine.py, "
+                "tests/test_streaming.py)")
 
     # -- engine view: one plain-binary pass, decode excluded ------------
     # stream=False pins the eager decode even under a forced
@@ -166,100 +224,59 @@ def bench_workload(workload: str, trace_path: Union[str, Path], *,
     program = trace_workload.link(page_bytes=config.mem.page_bytes,
                                   instrumented=False)
     program.segment.columns()  # decode outside the timed region
-    results = {}
 
-    def run_engine(cls) -> Callable[[], int]:
-        def go() -> int:
-            engine = cls(
-                trace_workload.link(page_bytes=config.mem.page_bytes,
-                                    instrumented=False), config)
-            result = engine.run(instructions, warmup)
-            results[cls.__name__] = result
-            return result.shared.instructions + warmup
-        return go
+    def run_engine() -> int:
+        result = FastEngine(program, config).run(instructions, warmup)
+        return result.shared.instructions + warmup
 
-    for engine_name, cls in (("scalar", FastEngine), ("batch", BatchEngine)):
-        best, mean, retired = _time(run_engine(cls), repeats)
-        records.append(BenchRecord(
-            workload=workload, engine=engine_name, mode="engine",
-            instructions=retired, repeats=repeats, best_seconds=best,
-            mean_seconds=mean, instr_per_sec=retired / best))
-        log(f"{workload:24s} {engine_name:7s} engine "
-            f"{retired / best:>12,.0f} instr/s (best of {repeats}: "
-            f"{best:.3f}s)")
-    a = json.dumps(results["FastEngine"].to_dict(), sort_keys=True)
-    b = json.dumps(results["BatchEngine"].to_dict(), sort_keys=True)
-    if a != b:
-        raise RuntimeError(
-            f"bench aborted: scalar and batch engines diverged on "
-            f"{workload} — run the equivalence suite "
-            "(tests/test_batch_engine.py)")
+    record("batch", "engine", _time(run_engine, repeats))
 
-    # -- job view: full run_all_schemes, resolve included ---------------
-    def run_job(engine: str, cold: bool) -> Callable[[], int]:
+    # -- job view: full run_all_schemes, cold vs warm decode ------------
+    def _job_retired(run) -> int:
+        return (run.plain.shared.instructions
+                + run.instrumented.shared.instructions + 2 * warmup)
+
+    job_runs: Dict[str, object] = {}
+
+    def run_job(engine_name: str, cold: bool) -> Callable[[], int]:
         def go() -> int:
             if cold:
-                clear_trace_cache()  # pre-batching jobs re-decoded per run
+                clear_trace_cache()  # re-gunzip and re-decode per job
             run = run_all_schemes(resolve(trace_name), config,
-                                  instructions=instructions, warmup=warmup,
-                                  engine=engine)
-            return (run.plain.shared.instructions
-                    + run.instrumented.shared.instructions + 2 * warmup)
+                                  instructions=instructions, warmup=warmup)
+            job_runs[engine_name] = run
+            return _job_retired(run)
         return go
 
-    for engine_name, engine, cold in (("scalar", "scalar", True),
-                                      ("batch", "fast", False)):
-        best, mean, retired = _time(run_job(engine, cold), repeats)
-        records.append(BenchRecord(
-            workload=workload, engine=engine_name, mode="job",
-            instructions=retired, repeats=repeats, best_seconds=best,
-            mean_seconds=mean, instr_per_sec=retired / best))
-        log(f"{workload:24s} {engine_name:7s} job    "
-            f"{retired / best:>12,.0f} instr/s (best of {repeats}: "
-            f"{best:.3f}s)")
+    for engine_name, cold in (("cold", True), ("warm", False)):
+        record(engine_name, "job", _time(run_job(engine_name, cold),
+                                         repeats))
+    same((job_runs["cold"], job_runs["warm"]), "cold and warm jobs")
 
     # -- grid view: N geometries, independent jobs vs one shared pass ---
     grid_configs = [config.with_itlb(TLBConfig(entries=entries))
                     for entries in GRID_POINTS]
     grid_runs: Dict[str, list] = {}
 
-    def _retired(runs) -> int:
-        return sum(run.plain.shared.instructions
-                   + run.instrumented.shared.instructions + 2 * warmup
-                   for run in runs)
-
-    def run_independent() -> int:
+    def run_solo() -> int:
         runs = [run_all_schemes(resolve(trace_name), member,
-                                instructions=instructions,
-                                warmup=warmup)
+                                instructions=instructions, warmup=warmup)
                 for member in grid_configs]
-        grid_runs["independent"] = runs
-        return _retired(runs)
+        grid_runs["solo"] = runs
+        return sum(_job_retired(run) for run in runs)
 
     def run_gridded() -> int:
         runs = run_all_schemes_grid(resolve(trace_name), grid_configs,
                                     instructions=instructions,
                                     warmup=warmup)
         grid_runs["grid"] = runs
-        return _retired(runs)
+        return sum(_job_retired(run) for run in runs)
 
-    for engine_name, fn in (("scalar", run_independent),
-                            ("batch", run_gridded)):
-        best, mean, retired = _time(fn, repeats)
-        records.append(BenchRecord(
-            workload=workload, engine=engine_name, mode="grid",
-            instructions=retired, repeats=repeats, best_seconds=best,
-            mean_seconds=mean, instr_per_sec=retired / best))
-        log(f"{workload:24s} {engine_name:7s} grid   "
-            f"{retired / best:>12,.0f} instr/s (best of {repeats}: "
-            f"{best:.3f}s, {len(GRID_POINTS)} geometries)")
-    for solo, member in zip(grid_runs["independent"], grid_runs["grid"]):
-        if (json.dumps(solo.to_dict(), sort_keys=True)
-                != json.dumps(member.to_dict(), sort_keys=True)):
-            raise RuntimeError(
-                f"bench aborted: grid member diverged from its "
-                f"independent job on {workload} — run the grid "
-                "equivalence suite (tests/test_batch_engine.py)")
+    for engine_name, fn in (("solo", run_solo), ("grid", run_gridded)):
+        record(engine_name, "grid", _time(fn, repeats),
+               f", {len(GRID_POINTS)} geometries")
+    for pair in zip(grid_runs["solo"], grid_runs["grid"]):
+        same(pair, "a grid member and its independent job")
 
     # -- stream view: eager vs windowed decode of the same cold job -----
     # window budget: a quarter of the largest segment's columns, so the
@@ -289,8 +306,7 @@ def bench_workload(workload: str, trace_path: Union[str, Path], *,
                         > stream_peak["bytes"]):
                     stream_peak["bytes"] = metrics.stream_peak_bytes
                 stream_runs[engine_name] = run
-                return (run.plain.shared.instructions
-                        + run.instrumented.shared.instructions + 2 * warmup)
+                return _job_retired(run)
             finally:
                 if saved is None:
                     os.environ.pop("REPRO_TRACE_WINDOW", None)
@@ -299,23 +315,12 @@ def bench_workload(workload: str, trace_path: Union[str, Path], *,
         return go
 
     for engine_name, window in (("eager", None), ("windowed", window_bytes)):
-        best, mean, retired = _time(run_stream(engine_name, window), repeats)
+        timed = _time(run_stream(engine_name, window), repeats)
         peak = full_bytes if window is None else stream_peak["bytes"]
-        records.append(BenchRecord(
-            workload=workload, engine=engine_name, mode="stream",
-            instructions=retired, repeats=repeats, best_seconds=best,
-            mean_seconds=mean, instr_per_sec=retired / best,
-            peak_window_bytes=peak))
-        log(f"{workload:24s} {engine_name:8s} stream "
-            f"{retired / best:>11,.0f} instr/s (best of {repeats}: "
-            f"{best:.3f}s, peak window {peak:,} B)")
-    if (json.dumps(stream_runs["eager"].to_dict(), sort_keys=True)
-            != json.dumps(stream_runs["windowed"].to_dict(),
-                          sort_keys=True)):
-        raise RuntimeError(
-            f"bench aborted: windowed decode diverged from eager on "
-            f"{workload} — run the streaming equivalence suite "
-            "(tests/test_streaming.py)")
+        record(engine_name, "stream", timed, f", peak window {peak:,} B",
+               peak_window_bytes=peak)
+    same((stream_runs["eager"], stream_runs["windowed"]),
+         "windowed and eager decode")
     if stream_peak["bytes"] > window_bytes:
         raise RuntimeError(
             f"bench aborted: windowed decode of {workload} peaked at "
@@ -324,24 +329,35 @@ def bench_workload(workload: str, trace_path: Union[str, Path], *,
     return records
 
 
-def speedups(records: Sequence[BenchRecord]) -> Dict[str, Dict[str, float]]:
-    """Per-workload instr-per-sec ratios, per view: batch/scalar for the
-    evaluator views, windowed/eager for ``stream`` (typically ≤ 1 — it
-    prices the memory bound, it does not chase a speedup)."""
+#: the paired views and their (baseline, compared) rows
+PAIRS = (("job", "cold", "warm"), ("grid", "solo", "grid"),
+         ("stream", "eager", "windowed"))
+
+
+def speedups(records: Sequence[BenchRecord],
+             calibration_seconds: float) -> Dict[str, Dict[str, float]]:
+    """Per-workload instr-per-sec ratios, per view: warm/cold for
+    ``job``, grid/solo for ``grid``, windowed/eager for ``stream``
+    (typically ≤ 1 — it prices the memory bound, it does not chase a
+    speedup).  ``engine`` — for :data:`SCALAR_REFERENCE`'s workload
+    only — is the engine row's calibrated throughput over the frozen
+    per-step reference's."""
     by_key: Dict[tuple, BenchRecord] = {
         (r.workload, r.mode, r.engine): r for r in records}
     out: Dict[str, Dict[str, float]] = {}
     for workload in {r.workload for r in records}:
         entry = {}
-        for mode, base_name, fast_name in (
-                ("engine", "scalar", "batch"),
-                ("job", "scalar", "batch"),
-                ("grid", "scalar", "batch"),
-                ("stream", "eager", "windowed")):
+        for mode, base_name, compared_name in PAIRS:
             base = by_key.get((workload, mode, base_name))
-            fast = by_key.get((workload, mode, fast_name))
-            if base and fast and base.instr_per_sec:
-                entry[mode] = fast.instr_per_sec / base.instr_per_sec
+            compared = by_key.get((workload, mode, compared_name))
+            if base and compared and base.instr_per_sec:
+                entry[mode] = compared.instr_per_sec / base.instr_per_sec
+        engine = by_key.get((workload, "engine", "batch"))
+        if engine and workload == SCALAR_REFERENCE["workload"]:
+            entry["engine"] = (
+                calibrated(engine.instr_per_sec, calibration_seconds)
+                / calibrated(SCALAR_REFERENCE["instr_per_sec"],
+                             SCALAR_REFERENCE["calibration_seconds"]))
         out[workload] = entry
     return out
 
@@ -351,39 +367,42 @@ def run_bench(*, workloads: Sequence[str] = DEFAULT_WORKLOADS,
               repeats: int = 5, trace_dir: Union[str, Path] = ".bench-traces",
               config: Optional[MachineConfig] = None,
               log: Callable[[str], None] = lambda _: None) -> dict:
-    """Record (once) and bench every workload; returns the JSON payload."""
+    """Record (once) and bench every workload; returns the JSON payload.
+    The calibration loop runs before and after the benches; the faster
+    of the two is the host-speed figure."""
     config = config or default_config()
     records: List[BenchRecord] = []
+    before = calibrate()
     for workload in workloads:
         path = ensure_trace(workload, trace_dir, instructions=instructions,
                             warmup=warmup, config=config, log=log)
         records.extend(bench_workload(
             workload, path, instructions=instructions, warmup=warmup,
             repeats=repeats, config=config, log=log))
+    calibration_seconds = min(before, calibrate())
+    log(f"calibration loop: {calibration_seconds:.4f}s")
     return {
         "bench_format": BENCH_FORMAT,
         "window": {"instructions": instructions, "warmup": warmup},
         "repeats": repeats,
         "python": sys.version.split()[0],
         "implementation": platform.python_implementation(),
+        "calibration_seconds": calibration_seconds,
+        "scalar_reference": SCALAR_REFERENCE,
         "results": [r.to_dict() for r in records],
-        "speedups": speedups(records),
+        "speedups": speedups(records, calibration_seconds),
     }
 
 
-def check_floor(payload: dict, floor: float,
-                workloads: Optional[Sequence[str]] = None) -> List[str]:
-    """Failures (empty = pass): workloads whose engine-view speedup is
-    below ``floor``.  ``workloads=None`` checks every benched one."""
-    failures = []
-    for workload, entry in sorted(payload.get("speedups", {}).items()):
-        if workloads is not None and workload not in workloads:
-            continue
-        ratio = entry.get("engine")
-        if ratio is None:
-            failures.append(f"{workload}: no engine-view measurement")
-        elif ratio < floor:
-            failures.append(
-                f"{workload}: batch engine is {ratio:.2f}x the scalar "
-                f"engine (floor {floor:.2f}x)")
-    return failures
+def check_floor(payload: dict, floor: float) -> List[str]:
+    """Failures (empty = pass): the engine view of the reference
+    workload must reach ``floor`` x the frozen per-step reference's
+    calibrated throughput."""
+    workload = payload["scalar_reference"]["workload"]
+    ratio = payload.get("speedups", {}).get(workload, {}).get("engine")
+    if ratio is None:
+        return [f"{workload}: no engine-view measurement"]
+    if ratio < floor:
+        return [f"{workload}: the engine runs at {ratio:.2f}x the frozen "
+                f"per-step reference, calibrated (floor {floor:.2f}x)"]
+    return []

@@ -17,9 +17,10 @@ Subcommands:
   print a file's ``info``
 * ``cache``        — ``list`` / ``stats`` / ``purge`` a result-store
   cache directory (``purge --keep-bytes N`` size-bounds it, LRU)
-* ``bench``        — measure replay throughput (instr/sec, min-of-N)
-  for the scalar vs batched engine and write ``BENCH_<n>.json`` (the
-  repository's performance trajectory; see ``docs/performance.md``)
+* ``bench``        — measure the engine's replay throughput (instr/sec,
+  min-of-N, with a host-speed calibration loop) and write
+  ``BENCH_<n>.json`` (the repository's performance trajectory; see
+  ``docs/performance.md``)
 * ``status``       — one-shot or ``--watch`` dashboard over a
   ``queue:<dir>`` fleet: queue depth, worker liveness/throughput,
   stale leases, error tail; ``--json`` for scripts,
@@ -191,8 +192,7 @@ def _run_sweep(args: argparse.Namespace,
         for config in configs:
             specs.append(JobSpec(workload=name, config=config,
                                  instructions=args.instructions,
-                                 warmup=args.warmup, schemes=schemes,
-                                 engine=args.engine))
+                                 warmup=args.warmup, schemes=schemes))
 
     try:
         backend = resolve_backend(args.backend)
@@ -262,6 +262,7 @@ def _run_sweep(args: argparse.Namespace,
             f"phases: {metrics['decode_seconds']:.2f}s decode "
             f"({metrics['decode_cold']} cold / "
             f"{metrics['decode_cached']} LRU), "
+            f"{metrics['capture_seconds']:.2f}s capture, "
             f"{metrics['simulate_seconds']:.2f}s simulate, "
             f"{metrics['store_write_seconds']:.2f}s store; "
             f"{rate_note} instr/s over "
@@ -535,7 +536,7 @@ def _run_bench(args: argparse.Namespace,
     for workload, entry in sorted(payload["speedups"].items()):
         views = "  ".join(f"{mode} {ratio:.2f}x"
                           for mode, ratio in sorted(entry.items()))
-        print(f"  {workload:24s} batch/scalar: {views}")
+        print(f"  {workload:24s} {views}")
 
     if args.fail_below is not None:
         failures = check_floor(payload, args.fail_below)
@@ -543,8 +544,8 @@ def _run_bench(args: argparse.Namespace,
             for failure in failures:
                 print(f"FLOOR FAILED {failure}", file=sys.stderr)
             return 1
-        print(f"floor check passed (>= {args.fail_below:.2f}x "
-              "on every workload)")
+        print(f"floor check passed (>= {args.fail_below:.2f}x the "
+              "frozen per-step reference, calibrated)")
     return 0
 
 
@@ -654,13 +655,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                          help="scheme subset (default: all)")
     p_sweep.add_argument("--il1", default="vi-pt",
                          choices=[a.value for a in CacheAddressing])
-    p_sweep.add_argument("--engine", default="fast",
-                         choices=["fast", "scalar", "batch"],
-                         help="evaluator: 'fast' auto-selects the "
-                              "batched engine for trace replays "
-                              "(bit-identical); 'scalar'/'batch' force "
-                              "one (forced runs cache under their own "
-                              "keys)")
     p_sweep.add_argument("--instructions", type=int, default=120_000)
     p_sweep.add_argument("--warmup", type=int, default=20_000)
     p_sweep.add_argument("--workers", type=int, default=1,
@@ -890,10 +884,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                             "import:<format>:<path>)")
     p_sim.add_argument("--il1", default="vi-pt",
                        choices=[a.value for a in CacheAddressing])
-    p_sim.add_argument("--engine", default="fast",
-                       choices=["fast", "scalar", "batch"],
-                       help="evaluator ('fast' auto-selects the batched "
-                            "engine for trace replays)")
     p_sim.add_argument("--profile", default=None, metavar="OUT.pstats",
                        help="profile the run with cProfile and write a "
                             "pstats dump (read with: "
@@ -910,11 +900,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p_bench = sub.add_parser(
         "bench",
-        help="measure scalar vs batched replay throughput and write "
+        help="measure the engine's replay throughput and write "
              "BENCH_<n>.json (see docs/performance.md)")
-    p_bench.add_argument("-o", "--output", default="BENCH_9.json",
-                         help="JSON report to write "
-                              "(default: BENCH_9.json)")
+    p_bench.add_argument("-o", "--output", required=True,
+                         help="JSON report to write (BENCH_<n>.json)")
     p_bench.add_argument("--quick", action="store_true",
                          help="mesa only, smaller window, fewer repeats "
                               "(the CI smoke configuration)")
@@ -937,9 +926,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                               "(default: .bench-traces)")
     p_bench.add_argument("--fail-below", type=float, default=None,
                          metavar="RATIO",
-                         help="exit 1 if the batch engine's instr/sec "
-                              "is below RATIO x the scalar engine's on "
-                              "any benched workload (CI guards 0.9)")
+                         help="exit 1 if the engine view's calibrated "
+                              "instr/sec on 177.mesa is below RATIO x "
+                              "the frozen per-step reference "
+                              "(CI guards 0.9)")
     _add_trace_window_arg(p_bench)
 
     args = parser.parse_args(argv)
@@ -1046,8 +1036,7 @@ def _dispatch(args: argparse.Namespace,
             run = run_all_schemes(registry.resolve(args.benchmark),
                                   config,
                                   instructions=settings.instructions,
-                                  warmup=settings.warmup,
-                                  engine=args.engine)
+                                  warmup=settings.warmup)
             print(summarize_result(run.plain))
             print()
             print(summarize_result(run.instrumented))

@@ -1,564 +1,11 @@
-"""The batched replay engine: FastEngine semantics over flat-array traces.
+"""The former name of the column engine.
 
-Replaying a recorded trace through :class:`~repro.cpu.fast.FastEngine`
-pays a per-instruction Python tax that the *data* does not require:
-every retired instruction allocates a
-:class:`~repro.cpu.functional.StepResult`, walks an
-``executor.step()`` call, and re-derives facts (kind, successor,
-payload) that were fixed the moment the trace was written.  The paper's
-own key observation (Section 3.3.4: no scheme perturbs the shared
-iL1/L2/predictor stream) means a committed stream is pure data — so it
-can be decoded **once** into parallel ``array('q')`` columns
-(:class:`~repro.trace.format.SegmentColumns`) and consumed in bulk.
-
-:class:`BatchEngine` subclasses :class:`FastEngine` and overrides only
-the hot loop.  Everything that defines the *numbers* — policy triggers,
-cache/predictor/dTLB models, bulk-counter flushing, result collection —
-is inherited.  The replacement loop keeps the engine's entire mutable
-scalar state (timing clocks, stream trackers, shared counters) in frame
-locals for the whole window, synchronizing back to the instance only at
-the window boundary, and splits into:
-
-* a **per-event slow path** (page changes, control transfers, memory
-  operations, HALT, and the first fetch after any of those) that
-  mirrors ``FastEngine._run_window`` + ``_account_timing`` statement
-  for statement, reading the columns instead of stepping an executor;
-* a **run-length fast path** that retires whole straight-line runs of
-  plain instructions (no control, no memory access) in chunks bounded
-  by iL1-block and page boundaries: the chunk's stream bookkeeping is
-  one bulk-counter update (``il1_bulk += n``) and its timing is the
-  plain-instruction subset of the list-scheduling model, inlined.
-
-The results are **bit-identical** to FastEngine's — pinned by the golden
-suite and by the exhaustive equivalence suite in
-``tests/test_batch_engine.py`` — so :class:`BatchEngine` reports
-``engine="fast"`` in its :class:`~repro.cpu.results.EngineResult`:
-it is a faster evaluator of the same model, and a replayed run must stay
-indistinguishable from the live run it was recorded from (record→replay
-bit-identity is a PR 2 invariant).  Cached results, golden files, and
-cache keys are all interchangeable between the two evaluators.
+Replays once ran on a batched twin of a per-step engine; the two were
+folded into :class:`~repro.cpu.fast.FastEngine`, which runs every pass —
+live or replayed — over the committed stream's decoded columns.
+``BatchEngine`` remains importable as an alias of that class.
 """
 
-from __future__ import annotations
+from repro.cpu.fast import FastEngine as BatchEngine
 
-from typing import Optional, Sequence
-
-from repro.config import CacheAddressing, MachineConfig, SchemeName
-from repro.core.schemes import LookupReason
-from repro.cpu.fast import _FRONT_DEPTH, FastEngine
-from repro.errors import ConfigError, TraceError
-from repro.isa.program import Program
-from repro.trace.format import (
-    COL_FLAG_BOUNDARY,
-    COL_FLAG_CVTFI,
-    COL_FLAG_CVTIF,
-    COL_FLAG_FLW,
-    COL_FLAG_FSW,
-)
-from repro.vm.page_table import Protection
-
-
-class BatchEngine(FastEngine):
-    """Single-pass multi-scheme simulator over a decoded trace segment.
-
-    Construction requires a :class:`~repro.trace.replay.ReplayProgram`
-    (or anything else carrying a decoded ``segment``); live programs
-    must use :class:`FastEngine` — they have no pre-decoded stream to
-    batch over.
-    """
-
-    def __init__(self, program: Program, config: MachineConfig,
-                 schemes: Optional[Sequence[SchemeName]] = None,
-                 recorder=None) -> None:
-        if recorder is not None:
-            raise ConfigError(
-                "trace recording runs on the scalar fast engine (the "
-                "batch engine never materializes the StepResult stream "
-                "a recorder consumes)")
-        segment = getattr(program, "segment", None)
-        if segment is None:
-            raise ConfigError(
-                "the batch engine replays decoded trace segments; "
-                f"program '{program.name}' is a live workload — run it "
-                "on the fast engine")
-        super().__init__(program, config, schemes=schemes)
-        self._segment = segment
-        # the uniform decode seam: an eager segment is one window backed
-        # by its memoized columns (the historical fast path, decoded
-        # once and LRU-shared); a stream segment yields bounded windows,
-        # decoded as the loop reaches them
-        self._source = segment.window_source()
-        self._window = None  #: current TraceWindow (None before the first)
-        self._win_base = 0  #: absolute step offset of the current window
-        self._pos = 0  #: position *within* the current window
-        self._halted = False
-
-    # -- main loop ----------------------------------------------------------
-
-    def _run_window(self, budget: int) -> None:  # noqa: C901 - hot loop
-        """Execute ``budget`` useful instructions from the columns.
-
-        The body is ``FastEngine._run_window`` with ``_account_timing``
-        folded in, operating on hoisted locals and the flat columns; the
-        equivalence suite asserts the transcription is exact.
-
-        Columns come one :class:`~repro.trace.format.TraceWindow` at a
-        time.  When the position runs off the current window's end the
-        loop top pulls the next window and rebinds the column locals; a
-        run-length run truncated at a window boundary simply resumes on
-        the slow path in the next window, which retires a plain record
-        bit-identically (the streaming equivalence suite pins this).
-        """
-        source = self._source
-        instrs = source.instructions
-        window = self._window
-        win_base = self._win_base
-        if window is not None:
-            cols = window.columns()
-            pcs = cols.pc
-            nexts = cols.next_pc
-            kinds = cols.kind
-            auxs = cols.aux
-            rss = cols.rs
-            rts = cols.rt
-            rds = cols.rd
-            lats = cols.latency
-            flagss = cols.flags
-            idxs = cols.index
-            runs = cols.run
-            n_records = cols.steps
-        else:
-            n_records = 0  # the loop top binds the first window
-
-        shared = self.shared
-        page_shift = self._page_shift
-        block_shift = self._block_shift
-        offset_mask = self._offset_mask
-        block_low_mask = (1 << block_shift) - 1
-        page_table = self.space.page_table
-        vivt = self.addressing is CacheAddressing.VIVT
-        policies = self.policies
-        event_policies = self._event_policies
-        base_policies = self._base_policies
-        predictor_observe = self.predictor.observe
-        hier_fetch = self.hier.fetch
-        data_access = self._data_access
-        fetch_width = self._fetch_width
-        commit_width = self._commit_width
-        mispredict_penalty = self._mispredict_penalty
-        ready_int = self._ready_int
-        ready_fp = self._ready_fp
-        pools = self._fu_pools
-        ring = self._commit_ring
-        ring_size = self._ring_size
-
-        # engine scalar state, local for the whole window
-        pos = self._pos
-        halted = self._halted
-        last_vpn = self._last_vpn
-        last_pfn = self._last_pfn
-        last_fetch_block = self._last_fetch_block
-        il1_bulk = self._il1_bulk_hits
-        first_fetch = self._first_fetch
-        base_structural = self._base_structural
-        prev_outcome = self._prev_outcome
-        redirect = self._redirect
-        fetch_clock = self._fetch_clock
-        commit_cycle = self._commit_cycle
-        commit_slots = self._commit_slots
-        group_remaining = self._group_remaining
-        group_block = self._group_block
-        group_count = self._group_count
-        ring_pos = self._ring_pos
-
-        # shared counters, local for the whole window
-        c_instructions = 0
-        c_boundary = 0
-        c_loads = 0
-        c_stores = 0
-        c_branches = 0
-        c_taken = 0
-        c_cross_branch = 0
-        c_cross_boundary = 0
-
-        useful = 0
-        try:
-            while useful < budget and not halted:
-                if pos >= n_records:
-                    nxt = source.next_window()
-                    if nxt is None:
-                        raise TraceError(
-                            f"trace exhausted after {win_base + pos:,} "
-                            "steps; the "
-                            "requested simulation window (warmup + "
-                            "instructions) is longer than the recorded one "
-                            "— re-record with a larger window")
-                    win_base += n_records
-                    window = nxt
-                    cols = nxt.columns()
-                    pcs = cols.pc
-                    nexts = cols.next_pc
-                    kinds = cols.kind
-                    auxs = cols.aux
-                    rss = cols.rs
-                    rts = cols.rt
-                    rds = cols.rd
-                    lats = cols.latency
-                    flagss = cols.flags
-                    idxs = cols.index
-                    runs = cols.run
-                    n_records = cols.steps
-                    pos = 0
-                    continue
-
-                # ================= per-event slow path =================
-                # One record, full generality — mirrors FastEngine's
-                # loop body statement for statement.
-                pc = pcs[pos]
-                vpn = pc >> page_shift
-
-                # ---- page-change accounting and translation ----
-                if vpn != last_vpn:
-                    page_changed = True
-                    last_vpn = vpn
-                    pte = page_table.translate(vpn, prot=Protection.EXEC,
-                                               allocate=False)
-                    last_pfn = pte.pfn
-                    if prev_outcome is not None and prev_outcome.taken:
-                        if prev_outcome.instr.is_boundary_branch:
-                            c_cross_boundary += 1
-                        else:
-                            c_cross_branch += 1
-                    else:
-                        c_cross_boundary += 1
-                else:
-                    page_changed = False
-                pa = (last_pfn << page_shift) | (pc & offset_mask)
-
-                # ---- scheme triggers at the fetch point (non-VI-VT) ----
-                if not vivt and (prev_outcome is not None or page_changed
-                                 or first_fetch):
-                    seq_boundary = not (prev_outcome is not None
-                                        and prev_outcome.taken)
-                    for policy in event_policies:
-                        if policy.wants_lookup(vpn):
-                            reason = policy.fetch_reason(seq_boundary)
-                            policy.extra_cycles += (
-                                policy.serial_penalty
-                                + policy.lookup(vpn, reason))
-                    if base_policies and (page_changed or first_fetch):
-                        # one structural event per trigger (shared-stream
-                        # driven), charged to every member's base policy
-                        base_structural += 1
-                        for base_policy in base_policies:
-                            base_policy.extra_cycles += (
-                                base_policy.serial_penalty
-                                + base_policy.lookup(
-                                    vpn, LookupReason.BRANCH))
-                first_fetch = False
-
-                # ---- iL1 fetch (with same-block fast path) ----
-                fetch_block = pa >> block_shift
-                fetch_stall = 0
-                if fetch_block == last_fetch_block:
-                    il1_bulk += 1
-                else:
-                    last_fetch_block = fetch_block
-                    fetched = hier_fetch(pc, pa)
-                    if not fetched.il1_hit:
-                        fetch_stall = fetched.latency - 1
-                        if vivt:
-                            for policy in policies:
-                                if policy.wants_lookup(vpn):
-                                    reason = policy.fetch_reason(True)
-                                    policy.extra_cycles += (
-                                        policy.serial_penalty
-                                        + policy.lookup(vpn, reason))
-                                else:
-                                    policy.serve_from_cfr()
-
-                # ---- retire (the columns already hold the step facts) --
-                kind = kinds[pos]
-                aux = auxs[pos]
-                flags = flagss[pos]
-                c_instructions += 1
-                if flags & COL_FLAG_BOUNDARY:
-                    c_boundary += 1
-                else:
-                    useful += 1
-
-                # ---- data access ----
-                mem_stall = 0
-                if kind == 6:  # LOAD
-                    mem_stall = data_access(aux, False)
-                    c_loads += 1
-                elif kind == 7:  # STORE
-                    mem_stall = data_access(aux, True)
-                    c_stores += 1
-                elif kind == 14:  # HALT
-                    halted = True
-
-                # ---- control resolution ----
-                outcome = None
-                if 8 <= kind <= 12:
-                    instr = instrs[idxs[pos]]
-                    taken = kind != 8 or aux != 0
-                    c_branches += 1
-                    if taken:
-                        c_taken += 1
-                    outcome = predictor_observe(pc, instr, taken,
-                                                nexts[pos])
-                    prediction = outcome.prediction
-                    for policy in event_policies:
-                        # on_control(outcome), unrolled
-                        policy.on_predict(instr, prediction)
-                        policy.on_resolve(outcome)
-                prev_outcome = outcome
-
-                # ---- timing (_account_timing, inlined on locals) ----
-                vblock = pc >> block_shift
-                if redirect or group_remaining == 0 or vblock != group_block:
-                    fetch_clock += 1
-                    group_count += 1
-                    group_remaining = fetch_width
-                    group_block = vblock
-                    redirect = False
-                group_remaining -= 1
-                if fetch_stall:
-                    fetch_clock += fetch_stall
-                fetch_t = fetch_clock
-                oldest = ring[ring_pos]
-                if oldest > fetch_t:
-                    fetch_t = oldest
-                    fetch_clock = oldest
-                issue_t = fetch_t + _FRONT_DEPTH
-                rs = rss[pos]
-                rt = rts[pos]
-                rd = rds[pos]
-                # ready_int[0] is invariantly 0 (int-file writes are
-                # guarded by ``if rd:``), so r0 sources read directly
-                if 3 <= kind <= 5:  # FP ops read the FP file
-                    if flags & COL_FLAG_CVTIF:
-                        src1 = ready_int[rs]
-                    else:
-                        src1 = ready_fp[rs]
-                    src2 = ready_fp[rt]
-                    if src1 > issue_t:
-                        issue_t = src1
-                    if src2 > issue_t:
-                        issue_t = src2
-                else:
-                    src1 = ready_int[rs]
-                    src2 = ready_int[rt]
-                    if src1 > issue_t:
-                        issue_t = src1
-                    if src2 > issue_t:
-                        issue_t = src2
-                    if kind == 7 and rd:  # stores also read the value
-                        src3 = (ready_fp[rd] if flags & COL_FLAG_FSW
-                                else ready_int[rd])
-                        if src3 > issue_t:
-                            issue_t = src3
-                pool = pools[kind]
-                if pool is not None:
-                    best_t = min(pool)
-                    if best_t > issue_t:
-                        issue_t = best_t
-                    pool[pool.index(best_t)] = issue_t + 1
-                latency = lats[pos]
-                if kind == 6:  # load: memory latency beyond a 1-cycle hit
-                    latency += mem_stall
-                elif kind == 7:
-                    latency = 1  # stores complete into the store queue
-                    if mem_stall:
-                        latency += mem_stall >> 3
-                complete_t = issue_t + latency
-                if 3 <= kind <= 5:
-                    if flags & COL_FLAG_CVTFI:
-                        if rd:
-                            ready_int[rd] = complete_t
-                    else:
-                        ready_fp[rd] = complete_t
-                elif kind == 6:  # loads (FLW fills the FP file)
-                    if flags & COL_FLAG_FLW:
-                        ready_fp[rd] = complete_t
-                    elif rd:
-                        ready_int[rd] = complete_t
-                elif kind <= 2:
-                    if rd:
-                        ready_int[rd] = complete_t
-                elif kind == 10 or kind == 12:  # calls write ra
-                    ready_int[31] = complete_t
-                candidate = complete_t + 1
-                if candidate > commit_cycle:
-                    commit_cycle = candidate
-                    commit_slots = 1
-                else:
-                    commit_slots += 1
-                    if commit_slots > commit_width:
-                        commit_cycle += 1
-                        commit_slots = 1
-                ring[ring_pos] = commit_cycle
-                ring_pos += 1
-                if ring_pos == ring_size:
-                    ring_pos = 0
-                if outcome is not None:
-                    if outcome.path_diverged:
-                        fetch_clock += mispredict_penalty
-                        redirect = True
-                    elif outcome.taken:
-                        redirect = True
-                pos += 1
-
-                # ================= run-length fast path ================
-                # After an event-free step the stream is straight-line
-                # plain instructions until the next event; retire the
-                # whole run in chunks bounded by iL1-block/page ends.
-                if outcome is not None or halted or useful >= budget:
-                    continue
-                if pos >= n_records:
-                    continue
-                run = runs[pos]
-                if run == 0:
-                    continue
-                remaining = budget - useful
-                if run > remaining:
-                    run = remaining
-
-                while run > 0:
-                    pc = pcs[pos]
-                    if pc >> page_shift != last_vpn:
-                        break  # sequential crossing: event path handles it
-                    # chunk ends at the iL1 block (or page) boundary;
-                    # within a page the physical and virtual boundaries
-                    # coincide
-                    room = ((pc | block_low_mask) + 1 - pc) >> 2
-                    page_room = ((pc | offset_mask) + 1 - pc) >> 2
-                    if page_room < room:
-                        room = page_room
-                    n = run if run < room else room
-                    pa = (last_pfn << page_shift) | (pc & offset_mask)
-                    fetch_block = pa >> block_shift
-                    fs = 0
-                    if fetch_block == last_fetch_block:
-                        il1_bulk += n
-                    else:
-                        last_fetch_block = fetch_block
-                        fetched = hier_fetch(pc, pa)
-                        il1_bulk += n - 1
-                        if not fetched.il1_hit:
-                            fs = fetched.latency - 1
-                            if vivt:
-                                vpn = pc >> page_shift
-                                for policy in policies:
-                                    if policy.wants_lookup(vpn):
-                                        reason = policy.fetch_reason(True)
-                                        policy.extra_cycles += (
-                                            policy.serial_penalty
-                                            + policy.lookup(vpn, reason))
-                                    else:
-                                        policy.serve_from_cfr()
-                    vblock = pc >> block_shift
-
-                    # ---- plain-instruction timing (the subset of the
-                    # model reachable with no memory stall, no control
-                    # outcome, and no redirect pending) ----
-                    end = pos + n
-                    while pos < end:
-                        if group_remaining == 0 or vblock != group_block:
-                            fetch_clock += 1
-                            group_count += 1
-                            group_remaining = fetch_width
-                            group_block = vblock
-                        group_remaining -= 1
-                        if fs:
-                            fetch_clock += fs
-                            fs = 0
-                        fetch_t = fetch_clock
-                        oldest = ring[ring_pos]
-                        if oldest > fetch_t:
-                            fetch_t = oldest
-                            fetch_clock = oldest
-                        issue_t = fetch_t + _FRONT_DEPTH
-                        kind = kinds[pos]
-                        rs = rss[pos]
-                        rt = rts[pos]
-                        if 3 <= kind <= 5:  # FP ops read the FP file
-                            if flagss[pos] & COL_FLAG_CVTIF:
-                                src1 = ready_int[rs]
-                            else:
-                                src1 = ready_fp[rs]
-                            src2 = ready_fp[rt]
-                        else:
-                            src1 = ready_int[rs]
-                            src2 = ready_int[rt]
-                        if src1 > issue_t:
-                            issue_t = src1
-                        if src2 > issue_t:
-                            issue_t = src2
-                        pool = pools[kind]
-                        if pool is not None:
-                            best_t = min(pool)
-                            if best_t > issue_t:
-                                issue_t = best_t
-                            pool[pool.index(best_t)] = issue_t + 1
-                        complete_t = issue_t + lats[pos]
-                        rd = rds[pos]
-                        if 3 <= kind <= 5:
-                            if flagss[pos] & COL_FLAG_CVTFI:
-                                if rd:
-                                    ready_int[rd] = complete_t
-                            else:
-                                ready_fp[rd] = complete_t
-                        elif kind <= 2:
-                            if rd:
-                                ready_int[rd] = complete_t
-                        candidate = complete_t + 1
-                        if candidate > commit_cycle:
-                            commit_cycle = candidate
-                            commit_slots = 1
-                        else:
-                            commit_slots += 1
-                            if commit_slots > commit_width:
-                                commit_cycle += 1
-                                commit_slots = 1
-                        ring[ring_pos] = commit_cycle
-                        ring_pos += 1
-                        if ring_pos == ring_size:
-                            ring_pos = 0
-                        pos += 1
-
-                    c_instructions += n
-                    useful += n
-                    run -= n
-        finally:
-            # write the hoisted engine state back (also on the
-            # trace-exhausted raise, so the instance stays coherent)
-            self._window = window
-            self._win_base = win_base
-            self._pos = pos
-            self._halted = halted
-            self._last_vpn = last_vpn
-            self._last_pfn = last_pfn
-            self._last_fetch_block = last_fetch_block
-            self._il1_bulk_hits = il1_bulk
-            self._first_fetch = first_fetch
-            self._base_structural = base_structural
-            self._prev_outcome = prev_outcome
-            self._redirect = redirect
-            self._fetch_clock = fetch_clock
-            self._commit_cycle = commit_cycle
-            self._commit_slots = commit_slots
-            self._group_remaining = group_remaining
-            self._group_block = group_block
-            self._group_count = group_count
-            self._ring_pos = ring_pos
-            shared.instructions += c_instructions
-            shared.useful_instructions += useful
-            shared.boundary_instructions += c_boundary
-            shared.loads += c_loads
-            shared.stores += c_stores
-            shared.dynamic_branches += c_branches
-            shared.taken_branches += c_taken
-            shared.page_crossings_branch += c_cross_branch
-            shared.page_crossings_boundary += c_cross_boundary
+__all__ = ["BatchEngine"]

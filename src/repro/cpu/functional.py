@@ -34,8 +34,8 @@ def _signed(value: int) -> int:
 @dataclass(slots=True)
 class StepResult:
     """Everything the timing models need to know about one retired
-    instruction.  Slotted: one instance is allocated per retired
-    instruction on the scalar engines' hot path."""
+    instruction.  Slotted: one instance is allocated per executed
+    instruction (live captures and the detailed core)."""
 
     pc: int
     instr: Instruction

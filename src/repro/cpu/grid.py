@@ -1,18 +1,18 @@
 """The grid engine: one decoded pass, N machine configurations.
 
-PR 5's batch engine hit a ceiling: the shared per-event machinery
-(predictor training, iL1/L2 timing, per-scheme policy triggers) must run
-identically for bit-identity, so a single config can't get much faster.
-But the paper's own evaluation trick (Section 3.3.4: no iTLB scheme
-perturbs the shared stream) generalizes *sideways* — the same decoded
+The shared per-event machinery of a pass (predictor training, iL1/L2
+timing, per-scheme policy triggers) must run identically for
+bit-identity, so a single config can't get much faster.  But the paper's
+own evaluation trick (Section 3.3.4: no iTLB scheme perturbs the shared
+stream) generalizes *sideways* — the same decoded
 :class:`~repro.trace.format.SegmentColumns` stream, predictor, caches,
 and dTLB can score **N whole machine configurations** at once, as long
 as the configs differ only in what rides along additively: iTLB
 geometry (mono or two-level) and energy accounting
 (:data:`~repro.config.GRID_MEMBER_FIELDS`).
 
-:class:`MultiConfigEngine` subclasses :class:`~repro.cpu.batch.
-BatchEngine` and adds nothing to the hot loop: it simply installs one
+:class:`MultiConfigEngine` subclasses :class:`~repro.cpu.fast.
+FastEngine` and adds nothing to the hot loop: it simply installs one
 policy set per member (via :meth:`~repro.cpu.fast.FastEngine.
 _install_member`) into the flat lists the inherited loop already
 iterates.  Each policy mutates only its own counters/iTLB, and
@@ -27,7 +27,7 @@ import json
 from typing import List, Optional, Sequence
 
 from repro.config import MachineConfig, SchemeName
-from repro.cpu.batch import BatchEngine
+from repro.cpu.fast import FastEngine
 from repro.errors import ConfigError
 from repro.isa.program import Program
 
@@ -59,8 +59,8 @@ def grid_invariants_key(config: MachineConfig) -> str:
                       separators=(",", ":"))
 
 
-class MultiConfigEngine(BatchEngine):
-    """Batched replay of one decoded stream under N configurations.
+class MultiConfigEngine(FastEngine):
+    """One pass over one committed stream under N configurations.
 
     Construction takes the full member list; ``configs[0]`` seeds the
     shared machinery (caches, predictor, dTLB — identical across members

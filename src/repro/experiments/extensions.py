@@ -28,7 +28,6 @@ from repro.config import (
     default_config,
 )
 from repro.core.dcfr import DataCFR
-from repro.cpu.fast import FastEngine
 from repro.energy.cacti import CactiLikeModel
 from repro.experiments.common import (
     ExperimentSettings,
@@ -40,6 +39,7 @@ from repro.experiments.common import (
     short_name,
 )
 from repro.sim.simulator import Simulator
+from repro.trace.record import capture_segment
 from repro.vm.os_model import AddressSpace
 from repro.vm.tlb import TLB
 from repro.workloads.registry import resolve
@@ -58,23 +58,23 @@ def run_dcfr(settings: Optional[ExperimentSettings] = None) -> TableResult:
                  "dtlb lookups avoided %", "energy % of base dTLB"],
     )
     for bench in settings.benchmarks:
-        workload = resolve(bench)
-        program = workload.link(page_bytes=config.mem.page_bytes)
+        program = resolve(bench).link(page_bytes=config.mem.page_bytes)
+        # the committed segment (captured live, or as recorded) holds
+        # each memory step's data address as its aux payload
+        segment = capture_segment(
+            program, instructions=settings.warmup + settings.instructions)
+        window = segment.records[settings.warmup:
+                                 settings.warmup + settings.instructions]
+        kinds = [instr.kind_code for instr in segment.instructions]
         for registers in (1, 2, 4):
             space = AddressSpace(program)
-            # via the program's executor hook: a replayed trace feeds
-            # its recorded data-address stream through the dCFR
-            executor = program.make_executor(space)
-            executor.run(settings.warmup)
             dtlb = TLB(config.dtlb, name="dtlb")
             dcfr = DataCFR(dtlb, space.page_table,
                            config.mem.page_shift, registers=registers)
-            executed = 0
-            while executed < settings.instructions and not executor.halted:
-                step = executor.step()
-                executed += 1
-                if step.mem_addr is not None:
-                    dcfr.translate(step.mem_addr, step.is_store)
+            for index, aux in window:
+                kind = kinds[index]
+                if kind == 6 or kind == 7:  # LOAD / STORE
+                    dcfr.translate(aux, kind == 7)
             counters = dcfr.counters
             refs = counters.references or 1
             base_energy = refs * dtlb_ea

@@ -86,11 +86,9 @@ class Program:
         return self.text_base <= address < self.text_end and address % 4 == 0
 
     def make_executor(self, space):
-        """The executor that produces this program's committed instruction
-        stream.  The engines create their executor through this hook so a
-        program can substitute its own source of :class:`StepResult`
-        records — :class:`repro.trace.replay.ReplayProgram` overrides it
-        to feed a recorded trace instead of architectural execution."""
+        """The functional executor that produces this program's
+        committed instruction stream (the fast engine captures through
+        it; the detailed core steps it)."""
         from repro.cpu.functional import Executor
         return Executor(self, space)
 

@@ -37,7 +37,7 @@ from repro.runner.backends import (
     run_worker,
 )
 from repro.runner.gridspec import GridSpec, expand_units, plan_units
-from repro.runner.jobspec import SPEC_FORMAT, JobSpec
+from repro.runner.jobspec import MODEL_VERSION, SPEC_FORMAT, JobSpec
 from repro.runner.store import STORE_FORMAT, ResultStore
 from repro.runner.sweep import (
     JobResult,
@@ -55,6 +55,7 @@ __all__ = [
     "JobSpec",
     "PoolBackend",
     "ResultStore",
+    "MODEL_VERSION",
     "SPEC_FORMAT",
     "STORE_FORMAT",
     "SerialBackend",

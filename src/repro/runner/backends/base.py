@@ -91,8 +91,9 @@ def execute_grid(grid: GridSpec) -> List[Outcome]:
     traceback repeated), mirroring what N independent jobs over the
     same broken workload would each report.  On success the single
     collected :class:`JobMetrics` is fanned out per member: the shared
-    wall-clock phases (decode, simulate, total) are split evenly so the
-    members' attributed seconds sum back to the actual pass, while
+    wall-clock phases (decode, capture, simulate, total) are split
+    evenly so the members' attributed seconds sum back to the actual
+    pass, while
     ``instructions``/``passes`` are one sub-pass's worth per member (each
     member's result really does cover the full window, on one sub-pass
     of each binary) and the decode counters land on member 0 only (the
@@ -118,6 +119,7 @@ def execute_grid(grid: GridSpec) -> List[Outcome]:
         share = dataclasses.replace(
             metrics,
             decode_seconds=metrics.decode_seconds / count,
+            capture_seconds=metrics.capture_seconds / count,
             simulate_seconds=metrics.simulate_seconds / count,
             total_seconds=metrics.total_seconds / count,
             instructions=metrics.instructions // sub_passes,

@@ -10,7 +10,8 @@ members that agree outside :data:`~repro.config.GRID_MEMBER_FIELDS`
 (so iL1 addressing may differ within a grid; iTLB geometry and energy
 accounting may differ within a sub-pass).  The result is one
 :class:`~repro.sim.multi.CombinedRun` per member, each
-**bit-identical** to its member's independent :meth:`JobSpec.run`.
+**bit-identical** to its member's independent :meth:`JobSpec.run` —
+which is the same pass with one member.
 
 Grids are a *planning* construct, not a result identity: every member
 result lands in the :class:`~repro.runner.store.ResultStore` under the
@@ -32,32 +33,15 @@ from repro.cpu.grid import grid_invariants_key
 from repro.errors import ConfigError
 from repro.runner.jobspec import SPEC_FORMAT, UNREADABLE_DIGEST, JobSpec
 
-#: engines whose evaluation can share a decoded pass (see
-#: :func:`repro.sim.simulator.run_program_grid`)
-GRID_ENGINES = ("fast", "batch")
-
-
 def grid_eligible(spec: JobSpec) -> bool:
-    """Whether ``spec`` may join a grid at all.
-
-    * A readable ``trace:``/``import:`` workload on a batchable engine
-      (``fast``/``batch``): its decoded stream is shared as is.
-    * A live (generated) workload on the ``fast`` engine: the grid
-      captures its committed stream once, in memory.  ``batch`` must
-      keep failing for a live job as it does alone, and ``scalar``/
-      ``ooo`` step one config at a time.
-
-    An unreadable-digest spec must fail as itself.  Eligibility is not
-    enough to grid: :func:`plan_units` leaves a spec that finds no
-    partner as a solo job, and a solo live job runs on the scalar
-    :class:`~repro.cpu.fast.FastEngine` — capturing the stream only to
-    replay it once costs about as much as the scalar pass.
-    """
-    from repro.workloads.registry import IMPORT_PREFIX, TRACE_PREFIX
-    if spec.workload.startswith((TRACE_PREFIX, IMPORT_PREFIX)):
-        return (spec.engine in GRID_ENGINES
-                and spec.workload_digest != UNREADABLE_DIGEST)
-    return spec.engine == "fast"
+    """Whether ``spec`` may join a grid at all: any ``fast``-engine
+    spec — a live workload's stream is captured once, a trace's decoded
+    once — except an unreadable-digest spec, which must fail as itself.
+    The ``ooo`` engine steps one config at a time.  :func:`plan_units`
+    still leaves a spec that finds no partner as a solo job (the
+    one-member case of the same pass)."""
+    return (spec.engine == "fast"
+            and spec.workload_digest != UNREADABLE_DIGEST)
 
 
 def _unit_fields(spec: JobSpec) -> Dict[str, object]:
@@ -122,9 +106,7 @@ class GridSpec:
         if not grid_eligible(anchor):
             raise ConfigError(
                 f"spec '{anchor.describe()}' cannot join a grid: grids "
-                "replay trace:/import: workloads on the "
-                f"{'/'.join(GRID_ENGINES)} engines, or capture live "
-                "workloads on the fast engine")
+                "share one fast-engine pass over a readable workload")
         shared = _unit_fields(anchor)
         seen = set()
         for position, member in enumerate(self.members):

@@ -23,10 +23,16 @@ from typing import Optional, Tuple
 
 from repro.config import MachineConfig, SchemeName
 
-#: bump when the spec schema (or anything that invalidates cached
-#: results, e.g. simulator semantics) changes incompatibly; the format is
-#: hashed into every key, so old cache entries simply stop matching
+#: bump when the spec schema changes incompatibly; the format is hashed
+#: into every key, so old cache entries simply stop matching
 SPEC_FORMAT = 1
+
+#: version of the simulation model — bump whenever a change moves any
+#: simulated number (``tests/golden/`` pins them; ``tests/test_golden.py``
+#: fails when a golden file changes under an unbumped version).  Hashed
+#: into every :attr:`JobSpec.key`, so a result store never serves a
+#: result the current model would not produce.
+MODEL_VERSION = 1
 
 #: the workload digest recorded when a file-backed workload's file
 #: cannot be read at spec-construction time.  Such a spec is still a
@@ -49,12 +55,9 @@ class JobSpec:
     warmup: int = 0
     #: None means every scheme (the :func:`run_all_schemes` default)
     schemes: Optional[Tuple[SchemeName, ...]] = None
-    #: evaluator name (see :data:`repro.sim.simulator.ENGINE_NAMES`).
-    #: ``"fast"`` auto-selects the batched evaluator for ``trace:`` /
-    #: ``import:`` workloads — results (and therefore cached entries)
-    #: are bit-identical, so existing ``"fast"`` cache keys stay valid.
-    #: ``"scalar"``/``"batch"`` force one evaluator (they hash into
-    #: :attr:`key`, so forced runs cache separately).
+    #: engine name (see :data:`repro.sim.simulator.ENGINE_NAMES`):
+    #: ``"fast"`` (the column loop, live or replayed) or ``"ooo"``; any
+    #: other name is a :class:`~repro.errors.ConfigError` at construction
     engine: str = "fast"
     #: content identity of file-backed workloads.  ``trace:<path>`` and
     #: ``import:<format>:<path>`` names resolve to whatever bytes the
@@ -72,7 +75,9 @@ class JobSpec:
 
     def __post_init__(self) -> None:
         from repro.errors import RegistryError
+        from repro.sim.simulator import check_engine
         from repro.workloads.registry import file_backed_path
+        check_engine(self.engine)
         if self.workload_digest is None:
             try:
                 path = file_backed_path(self.workload)
@@ -114,6 +119,7 @@ class JobSpec:
     def to_dict(self) -> dict:
         data = {
             "format": SPEC_FORMAT,
+            "model_version": MODEL_VERSION,
             "workload": self.workload,
             "config": self.config.to_dict(),
             "instructions": self.instructions,
@@ -134,12 +140,17 @@ class JobSpec:
         # a spec dict can now arrive from another machine (file-queue
         # job files): refuse foreign schema versions with a typed error
         # a worker can record, instead of mis-parsing them silently
+        from repro.errors import ConfigError
         fmt = data.get("format", SPEC_FORMAT)
         if fmt != SPEC_FORMAT:
-            from repro.errors import ConfigError
             raise ConfigError(
                 f"job spec has format {fmt!r}; this version speaks "
                 f"format {SPEC_FORMAT} (mixed-version queue?)")
+        model = data.get("model_version", MODEL_VERSION)
+        if model != MODEL_VERSION:
+            raise ConfigError(
+                f"job spec was written for model version {model!r}; "
+                f"this version simulates model {MODEL_VERSION}")
         return cls(
             workload=data["workload"],
             config=MachineConfig.from_dict(data["config"]),
@@ -154,7 +165,8 @@ class JobSpec:
     @cached_property
     def key(self) -> str:
         """Content-addressed identity: SHA-256 over the canonical JSON
-        form.  Equal specs — however constructed — share a key.  Cached:
+        form, which includes :data:`MODEL_VERSION`.  Equal specs —
+        however constructed — share a key.  Cached:
         one sweep consults it several times per job (store lookups,
         dedup bookkeeping, file naming)."""
         canonical = json.dumps(self.to_dict(), sort_keys=True,

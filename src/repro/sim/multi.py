@@ -12,13 +12,13 @@ work — the overhead the paper calls negligible, measured here).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import MachineConfig, SchemeName
 from repro.cpu.grid import grid_invariants_key
 from repro.cpu.results import EngineResult, SchemeResult, SharedStats
 from repro.errors import ConfigError
-from repro.sim.simulator import Simulator, run_program_grid
+from repro.sim.simulator import Simulator, check_engine, run_program_grid
 from repro.workloads.synthetic import SyntheticWorkload
 
 PLAIN_SCHEMES = (SchemeName.BASE, SchemeName.HOA, SchemeName.OPT)
@@ -122,6 +122,15 @@ class CombinedRun:
         )
 
 
+def split_schemes(schemes: Optional[Sequence[SchemeName]] = None) \
+        -> Tuple[Tuple[SchemeName, ...], Tuple[SchemeName, ...]]:
+    """The requested schemes (default: all) split by binary: (plain,
+    instrumented)."""
+    selected = tuple(schemes) if schemes is not None else tuple(SchemeName)
+    return (tuple(s for s in selected if not s.needs_instrumented_binary),
+            tuple(s for s in selected if s.needs_instrumented_binary))
+
+
 def run_all_schemes(
     workload: SyntheticWorkload,
     config: MachineConfig,
@@ -130,47 +139,39 @@ def run_all_schemes(
     warmup: int = 0,
     schemes: Optional[Sequence[SchemeName]] = None,
     engine: str = "fast",
-    recorder=None,
 ) -> CombinedRun:
     """Two-pass evaluation of every scheme over one workload.
 
     ``workload`` is anything with a ``profile.name`` and a
     ``link(page_bytes=..., instrumented=...)`` — a generated
     :class:`SyntheticWorkload` or a replayed
-    :class:`~repro.trace.replay.TraceWorkload`.  A
-    :class:`~repro.trace.record.TraceRecorder` passed as ``recorder``
-    captures one trace segment per binary pass.
+    :class:`~repro.trace.replay.TraceWorkload`.
 
-    ``engine`` is passed through to
-    :meth:`~repro.sim.simulator.Simulator.run_program`; with the default
-    ``"fast"``, trace replays are evaluated by the batched engine
-    (bit-identical, several times faster) and live workloads by the
-    scalar fast engine.
+    On the ``fast`` engine this is the one-config case of
+    :func:`run_all_schemes_grid`.  The ``ooo`` engine runs each binary
+    through :meth:`~repro.sim.simulator.Simulator.run_program`, one
+    scheme per pass.
     """
-    selected = tuple(schemes) if schemes is not None else tuple(SchemeName)
-    plain_set = tuple(s for s in selected if not s.needs_instrumented_binary)
-    instr_set = tuple(s for s in selected if s.needs_instrumented_binary)
+    if engine != "ooo":
+        return run_all_schemes_grid(
+            workload, [config], instructions=instructions, warmup=warmup,
+            schemes=schemes, engine=engine)[0]
+    plain_set, instr_set = split_schemes(schemes)
     simulator = Simulator(config)
-    page_bytes = config.mem.page_bytes
 
-    plain_program = workload.link(page_bytes=page_bytes, instrumented=False)
-    plain_result = simulator.run_program(
-        plain_program, instructions=instructions, warmup=warmup,
-        schemes=plain_set or (SchemeName.BASE,), engine=engine,
-        recorder=recorder)
+    def run(instrumented: bool,
+            scheme_set: Sequence[SchemeName]) -> EngineResult:
+        program = workload.link(page_bytes=config.mem.page_bytes,
+                                instrumented=instrumented)
+        return simulator.run_program(
+            program, instructions=instructions, warmup=warmup,
+            schemes=scheme_set, engine=engine)
 
-    if instr_set:
-        instr_program = workload.link(page_bytes=page_bytes,
-                                      instrumented=True)
-        # Base rides along on the instrumented binary purely as the
-        # same-binary normalization reference (see CombinedRun._base_for)
-        instr_result = simulator.run_program(
-            instr_program, instructions=instructions, warmup=warmup,
-            schemes=instr_set + (SchemeName.BASE,), engine=engine,
-            recorder=recorder)
-    else:
-        instr_result = plain_result
-
+    plain_result = run(False, plain_set or (SchemeName.BASE,))
+    # Base rides along on the instrumented binary purely as the
+    # same-binary normalization reference (see CombinedRun._base_for)
+    instr_result = (run(True, instr_set + (SchemeName.BASE,))
+                    if instr_set else plain_result)
     return CombinedRun(
         workload_name=workload.profile.name,
         config=config,
@@ -201,12 +202,13 @@ def run_all_schemes_grid(
     ``configs``; page size may not — it shapes the stream itself).
 
     Returns one :class:`CombinedRun` per config, in order, each
-    bit-identical to an independent :func:`run_all_schemes` call —
-    including the instrumented-aliases-plain object identity when no
-    instrumented scheme is requested.
+    bit-identical to the same config scored alone — including the
+    instrumented-aliases-plain object identity when no instrumented
+    scheme is requested.
     """
     from repro.trace.record import capture_replay
 
+    check_engine(engine)
     if not configs:
         raise ConfigError("a config grid needs at least one member")
     page_bytes = configs[0].mem.page_bytes
@@ -214,9 +216,7 @@ def run_all_schemes_grid(
     for position, config in enumerate(configs):
         sub_passes.setdefault(grid_invariants_key(config),
                               []).append(position)
-    selected = tuple(schemes) if schemes is not None else tuple(SchemeName)
-    plain_set = tuple(s for s in selected if not s.needs_instrumented_binary)
-    instr_set = tuple(s for s in selected if s.needs_instrumented_binary)
+    plain_set, instr_set = split_schemes(schemes)
 
     def score(instrumented: bool,
               scheme_set: Sequence[SchemeName]) -> List[EngineResult]:

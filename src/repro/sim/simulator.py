@@ -17,7 +17,6 @@ from typing import List, Optional, Sequence
 
 from repro import telemetry
 from repro.config import MachineConfig, SchemeName, default_config
-from repro.cpu.batch import BatchEngine
 from repro.cpu.fast import FastEngine
 from repro.cpu.grid import MultiConfigEngine
 from repro.cpu.ooo import OutOfOrderEngine
@@ -29,7 +28,23 @@ from repro.isa.program import Program
 
 #: engine names accepted by :meth:`Simulator.run_program` (and therefore
 #: by :func:`~repro.sim.multi.run_all_schemes`, JobSpecs, and the CLI)
-ENGINE_NAMES = ("fast", "batch", "scalar", "ooo")
+ENGINE_NAMES = ("fast", "ooo")
+
+#: telemetry label of the column loop (:class:`FastEngine`): every
+#: ``fast`` pass, live or replayed, solo or grid.  The detailed core
+#: reports ``"ooo"``.
+COLUMN_EVALUATOR = "batch"
+
+
+def check_engine(engine: str) -> None:
+    """Raise :class:`~repro.errors.ConfigError` unless ``engine`` is one
+    of :data:`ENGINE_NAMES`."""
+    if engine not in ENGINE_NAMES:
+        raise ConfigError(
+            f"unknown engine {engine!r}; choose one of "
+            f"{', '.join(ENGINE_NAMES)} (every fast pass, live or "
+            "replayed, runs one column loop — the former 'scalar' and "
+            "'batch' names are gone)")
 
 
 def attach_energy(result: EngineResult,
@@ -70,18 +85,17 @@ def run_program_grid(program: Program, configs: Sequence[MachineConfig], *,
                      engine: str = "fast") -> List[EngineResult]:
     """Simulate ``program`` once and score every config in ``configs``.
 
-    The grid evaluator is replay-only (it rides on the batch engine's
-    decoded columns), so ``engine`` must be ``"fast"`` or ``"batch"``
-    and ``program`` must carry a decoded segment (a trace's, or a live
-    program's :func:`~repro.trace.record.capture_replay`).  Returns one
-    energy-attached result per config, in order, each bit-identical to
-    the result :meth:`Simulator.run_program` would produce for that
-    config alone.
+    ``program`` is a live program (captured once for the window) or a
+    replay; ``engine`` must be ``"fast"`` — the detailed core steps one
+    config at a time.  Returns one energy-attached result per config, in
+    order, each bit-identical to the result :meth:`Simulator.run_program`
+    would produce for that config alone.
     """
-    if engine not in ("fast", "batch"):
+    if engine != "fast":
+        check_engine(engine)
         raise ConfigError(
-            f"grid evaluation batches one decoded pass; engine "
-            f"'{engine}' cannot share a pass across configs")
+            f"grid evaluation shares one pass across configs; engine "
+            f"'{engine}' cannot")
     if not configs:
         raise ConfigError("a config grid needs at least one member")
     if program.page_bytes != configs[0].mem.page_bytes:
@@ -95,9 +109,9 @@ def run_program_grid(program: Program, configs: Sequence[MachineConfig], *,
                                                           warmup)
     elapsed = time.perf_counter() - started
     retired = results[0].shared.instructions
-    telemetry.note_engine("batch", elapsed, retired)
+    telemetry.note_engine(COLUMN_EVALUATOR, elapsed, retired)
     telemetry.emit("engine.grid", level="debug", workload=program.name,
-                   evaluator="batch", members=len(configs),
+                   evaluator=COLUMN_EVALUATOR, members=len(configs),
                    seconds=round(elapsed, 6), instructions=retired)
     for result in results:
         attach_energy(result, CactiLikeModel(result.config.energy))
@@ -114,56 +128,33 @@ class Simulator:
     def run_program(self, program: Program, *, instructions: int,
                     warmup: int = 0,
                     schemes: Optional[Sequence[SchemeName]] = None,
-                    engine: str = "fast", recorder=None) -> EngineResult:
+                    engine: str = "fast") -> EngineResult:
         """Simulate ``program`` and return a result with energy attached.
 
         ``engine`` selects the evaluator (see :data:`ENGINE_NAMES`):
 
-        * ``"fast"`` — evaluate all requested schemes in one pass; when
-          ``program`` is a trace replay (it carries a decoded segment)
-          and no recorder is attached, the batched evaluator
-          (:class:`~repro.cpu.batch.BatchEngine`) is selected
-          automatically.  Results are bit-identical either way.
-        * ``"batch"`` — force the batched evaluator (a
-          :class:`~repro.errors.ConfigError` for live programs, which
-          have no decoded stream to batch over).
-        * ``"scalar"`` — force the classic per-instruction
-          :class:`~repro.cpu.fast.FastEngine` loop even for replays
-          (the bench harness's baseline).
+        * ``"fast"`` — evaluate all requested schemes in one pass of the
+          column loop (:class:`~repro.cpu.fast.FastEngine`); a live
+          program is captured for the window first, a replay is read as
+          recorded.
         * ``"ooo"`` — the detailed core; exactly one scheme per pass.
-
-        A :class:`~repro.trace.record.TraceRecorder` passed as
-        ``recorder`` captures the committed instruction stream of the
-        run into a trace file (scalar fast engine only: the detailed
-        core's wrong-path fetches are not part of the committed stream,
-        and the batch engine never materializes StepResults to tee).
         """
+        check_engine(engine)
         if program.page_bytes != self.config.mem.page_bytes:
             raise ConfigError(
                 f"program linked for {program.page_bytes}-byte pages but "
                 f"machine uses {self.config.mem.page_bytes}-byte pages"
             )
-        if recorder is not None and engine not in ("fast", "scalar"):
-            raise ConfigError(
-                "trace recording requires the (scalar) fast engine: the "
-                "detailed core executes speculative wrong-path work that "
-                "is not part of the committed stream, and the batch "
-                "engine produces no StepResult stream to record")
-        if engine in ("fast", "batch", "scalar"):
-            replayable = getattr(program, "segment", None) is not None
-            if engine == "batch" and not replayable:
-                raise ConfigError(
-                    f"engine 'batch' replays decoded traces; workload "
-                    f"'{program.name}' is a live program — use 'fast'")
-            use_batch = (engine == "batch"
-                         or (engine == "fast" and replayable
-                             and recorder is None))
-            cls = BatchEngine if use_batch else FastEngine
-            evaluator = "batch" if use_batch else "scalar"
+        if engine == "fast":
+            if getattr(program, "segment", None) is None:
+                from repro.trace.record import capture_replay
+                program = capture_replay(program,
+                                         instructions=warmup + instructions)
+            evaluator = COLUMN_EVALUATOR
             started = time.perf_counter()
-            result = cls(program, self.config, schemes=schemes,
-                         recorder=recorder).run(instructions, warmup)
-        elif engine == "ooo":
+            result = FastEngine(program, self.config,
+                                schemes=schemes).run(instructions, warmup)
+        else:
             selected = tuple(schemes) if schemes else (SchemeName.IA,)
             if len(selected) != 1:
                 raise ConfigError(
@@ -173,12 +164,9 @@ class Simulator:
             result = OutOfOrderEngine(program, self.config,
                                       scheme=selected[0]).run(instructions,
                                                               warmup)
-        else:
-            raise ConfigError(f"unknown engine '{engine}'")
         elapsed = time.perf_counter() - started
-        # phase accounting: the *evaluator* that ran ("batch"/"scalar"/
-        # "ooo"), not result.engine, which reports the interchangeability
-        # class ("fast") so cache keys stay engine-agnostic
+        # phase accounting: the evaluator label ("batch" for the column
+        # loop, "ooo"), not result.engine
         retired = result.shared.instructions
         telemetry.note_engine(evaluator, elapsed, retired)
         telemetry.emit("engine.run", level="debug", workload=program.name,

@@ -43,6 +43,7 @@ from repro.telemetry.metrics import (
     active,
     aggregate,
     collect,
+    note_capture,
     note_decode,
     note_engine,
     note_stream_window,
@@ -64,6 +65,7 @@ __all__ = [
     "emit",
     "enabled",
     "level_name",
+    "note_capture",
     "note_decode",
     "note_engine",
     "note_stream_window",

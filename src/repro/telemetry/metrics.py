@@ -1,7 +1,7 @@
 """Per-job phase metrics.
 
 A :class:`JobMetrics` records *where a job's wall clock went* — trace
-decode, engine execution, store write — plus throughput and the
+decode or live capture, engine execution, store write — plus throughput and the
 evaluator that actually ran.  Collection is always on (the cost is a
 handful of ``perf_counter`` reads per *job*, invisible next to a
 simulation), independent of whether event logging is enabled; and the
@@ -47,14 +47,18 @@ class JobMetrics:
     """Phase accounting for one executed job."""
 
     workload: str = ""
-    #: the evaluator that actually ran (``"batch"``/``"scalar"``/
-    #: ``"ooo"``) — *not* :attr:`EngineResult.engine`, which reports the
-    #: interchangeability class (``"fast"``) rather than the evaluator
+    #: the evaluator that ran: ``"batch"`` for the column loop (every
+    #: ``fast``-engine pass, live or replayed, solo or grid) or
+    #: ``"ooo"`` for the detailed core — *not*
+    #: :attr:`EngineResult.engine`, which names the engine (``"fast"``)
     engine: str = ""
     started_at: float = 0.0  #: unix seconds the job began
     decode_seconds: float = 0.0  #: cold trace decode (gunzip + parse)
     decode_cold: int = 0  #: trace decodes that missed the process LRU
     decode_cached: int = 0  #: trace resolutions served by the LRU
+    #: functional execution of live binaries into their committed
+    #: streams (0 for replays, which decode instead)
+    capture_seconds: float = 0.0
     simulate_seconds: float = 0.0  #: engine execution, all passes
     passes: int = 0  #: engine passes (2 for a full all-scheme job)
     instructions: int = 0  #: retired across all passes (measured window)
@@ -148,6 +152,13 @@ def note_stream_window(nbytes: int, seconds: float) -> None:
     _current.decode_seconds += seconds
 
 
+def note_capture(seconds: float) -> None:
+    """Report one live-program capture into the current job."""
+    if _current is None:
+        return
+    _current.capture_seconds += seconds
+
+
 def note_engine(engine: str, seconds: float, instructions: int) -> None:
     """Report one engine pass into the current job."""
     if _current is None:
@@ -169,6 +180,7 @@ def aggregate(all_metrics: Iterable[Optional[JobMetrics]],
         "decode_seconds": 0.0,
         "decode_cold": 0,
         "decode_cached": 0,
+        "capture_seconds": 0.0,
         "simulate_seconds": 0.0,
         "store_write_seconds": 0.0,
         "instructions": 0,
@@ -184,6 +196,7 @@ def aggregate(all_metrics: Iterable[Optional[JobMetrics]],
         out["decode_seconds"] += metrics.decode_seconds
         out["decode_cold"] += metrics.decode_cold
         out["decode_cached"] += metrics.decode_cached
+        out["capture_seconds"] += metrics.capture_seconds
         out["simulate_seconds"] += metrics.simulate_seconds
         out["store_write_seconds"] += metrics.store_write_seconds or 0.0
         out["instructions"] += metrics.instructions

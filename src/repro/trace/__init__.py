@@ -1,9 +1,10 @@
 """Trace-driven workloads: record, inspect, and replay instruction streams.
 
 The paper's evaluation is driven by instruction streams; this subsystem
-makes streams first-class.  :class:`~repro.trace.record.TraceRecorder`
-captures the committed stream of any live run into a versioned,
-self-describing binary file (:mod:`repro.trace.format`), and
+makes streams first-class.  :func:`~repro.trace.record.record_trace`
+captures the committed stream of any workload into a versioned,
+self-describing binary file (:mod:`repro.trace.format`) — the same
+records the fast engine captures in memory before every live pass — and
 :class:`~repro.trace.replay.TraceWorkload` replays such a file through
 the unchanged TLB/cache/branch/energy machinery — bit-identical to the
 recorded run, and sweepable over any configuration that shares the
@@ -42,11 +43,9 @@ from repro.trace.importers import (
     import_trace,
     load_imported_workload,
 )
-from repro.trace.record import TraceRecorder, record_trace
+from repro.trace.record import capture_segment, record_trace
 from repro.trace.replay import (
     ReplayProgram,
-    StreamingTraceExecutor,
-    TraceExecutor,
     TraceWorkload,
     load_trace_workload,
 )
@@ -56,18 +55,16 @@ __all__ = [
     "SegmentColumns",
     "StreamSegment",
     "StreamTraceFile",
-    "StreamingTraceExecutor",
     "TraceFile",
     "TraceReader",
-    "TraceRecorder",
     "TraceSegment",
     "TraceWindow",
     "TraceWorkload",
     "TraceWriter",
-    "TraceExecutor",
     "ImportedTraceWorkload",
     "ReplayProgram",
     "available_formats",
+    "capture_segment",
     "clear_trace_cache",
     "file_digest",
     "import_trace",

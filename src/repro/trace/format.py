@@ -78,6 +78,7 @@ _PREAMBLE = struct.Struct("<8sHHI")
 _STATIC = struct.Struct("<IBBBBiIB")
 _U8 = struct.Struct("<B")
 _U32 = struct.Struct("<I")
+_STEP = struct.Struct("<BI")  #: a step's tag and static index
 _NO_TARGET = 0xFFFFFFFF
 
 #: operand bytes index the integer or the FP register file
@@ -121,6 +122,15 @@ def step_aux(kind: int, step) -> int:
     if kind == AUX_MEM_ADDR:
         return step.mem_addr
     return -1
+
+
+def trace_exhausted(steps: int) -> TraceError:
+    """The error for a replay window longer than its recorded stream
+    (``steps`` records were consumed before the stream ran out)."""
+    return TraceError(
+        f"trace exhausted after {steps:,} steps; the requested "
+        "simulation window (warmup + instructions) is longer than the "
+        "recorded one — re-record with a larger window")
 
 
 def program_meta(program) -> dict:
@@ -236,6 +246,32 @@ class TraceWriter:
             self._fh.write(_U32.pack(aux))
         self.steps_written += 1
 
+    def write_segment(self, segment: "TraceSegment") -> None:
+        """Append one whole committed segment: its meta, then every
+        record, each static entry written just before its first step —
+        the bytes :meth:`begin_segment` plus one :meth:`write_step` per
+        step would produce."""
+        self.begin_segment(segment.meta)
+        instrs = segment.instructions
+        aux_kinds: Dict[int, int] = {}  #: source index -> aux kind
+        written: Dict[int, int] = {}  #: source index -> written index
+        pending = bytearray()
+        for index, aux in segment.records:
+            kind = aux_kinds.get(index)
+            if kind is None:
+                self._fh.write(pending)  # steps so far precede the static
+                pending.clear()
+                instr = instrs[index]
+                written[index] = self._intern_instruction(instr)
+                kind = aux_kinds[index] = aux_kind(instr.kind_code)
+            pending += _STEP.pack(TAG_STEP, written[index])
+            if kind == AUX_TAKEN:
+                pending += _U8.pack(aux)
+            elif kind != AUX_NONE:
+                pending += _U32.pack(aux)
+        self._fh.write(pending)
+        self.steps_written += len(segment.records)
+
     # -- lifecycle -----------------------------------------------------
 
     def close(self) -> None:
@@ -287,7 +323,7 @@ class TraceWriter:
 
 #: kind codes whose steps carry no event the engines must react to — no
 #: control transfer, no memory access, no halt.  Maximal runs of these
-#: are what the batch engine retires in bulk.
+#: are what the fast engine retires in bulk.
 PLAIN_KINDS = frozenset({0, 1, 2, 3, 4, 5, 13})
 
 #: :attr:`SegmentColumns.flags` bits (per step)
@@ -301,7 +337,7 @@ COL_FLAG_FSW = 0x20       #: Opcode.FSW (store reading the FP file)
 #: decoded-column footprint of one step record: 11 parallel ``array('q')``
 #: slots of 8 bytes each.  Window budgets (``REPRO_TRACE_WINDOW``, the
 #: byte-budgeted LRU) are stated in these bytes because the columns are
-#: what actually occupies memory during a batched replay.
+#: what actually occupies memory during a replay.
 COLUMN_BYTES_PER_STEP = 88
 
 
@@ -361,7 +397,7 @@ class SegmentColumns:
     """Decode-once flat-array view of one segment's dynamic stream.
 
     Parallel ``array('q')`` columns, one slot per step record, in stream
-    order — everything the batched replay engine consumes without
+    order — everything the fast engine's column loop consumes without
     touching :class:`~repro.isa.instructions.Instruction` objects or
     allocating :class:`~repro.cpu.functional.StepResult`\\ s:
 
@@ -381,9 +417,9 @@ class SegmentColumns:
                   ``Instruction`` object on the slow, per-event path)
     ``run``       length of the maximal run of *plain* steps (kind in
                   :data:`PLAIN_KINDS`) starting at this slot — the
-                  batch engine's run-length fast path consumes this many
+                  engine's run-length fast path consumes this many
                   steps without per-step event checks.  In a windowed
-                  view runs are truncated at the window end; the batch
+                  view runs are truncated at the window end; the
                   engine's slow path retires a plain record identically
                   to the fast path, so the truncation is invisible in
                   the results (the streaming bit-identity suite pins
@@ -485,9 +521,8 @@ class TraceWindow:
     ``records`` is the raw ``(static index, aux)`` batch (indices are
     absolute into the source's growing instruction list), ``base`` its
     absolute step offset in the segment.  :meth:`columns` builds — and
-    memoizes — the flat-array view lazily, so the scalar replay path
-    (which steps records directly) never pays for columns it does not
-    read.
+    memoizes — the flat-array view lazily, so a reader of the records
+    alone (re-recording a replay) never pays for columns.
     """
 
     __slots__ = ("records", "base", "_tables", "_columns", "_memoized")

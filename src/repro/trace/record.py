@@ -1,31 +1,29 @@
-"""Recording: capture the committed stream of a live run into a trace.
+"""Recording: capture the committed stream of a run into a trace.
 
-The hook point is executor creation (see
-:meth:`repro.isa.program.Program.make_executor`): the fast engine hands
-its executor to :meth:`TraceRecorder.attach`, which wraps it so every
-committed :class:`~repro.cpu.functional.StepResult` is appended to the
-trace file as a side effect of stepping.  The engine's behaviour — and
-therefore the recorded run's counters — is untouched.
+A committed segment is one binary's ``(static index, aux)`` records
+plus its statics in first-execution order — the form every engine pass
+consumes (:class:`~repro.cpu.fast.FastEngine` runs one loop over it).
+:func:`capture_segment` obtains it for any program: a live program is
+executed functionally for the window, a replay contributes the prefix
+of its decoded stream.  :func:`capture_replay` wraps the capture as a
+:class:`~repro.trace.replay.ReplayProgram` — the way a live grid unit
+shares one execution between many machine configurations.
 
-:func:`record_trace` is the one-call form the CLI uses: it performs the
-standard two-pass :func:`~repro.sim.multi.run_all_schemes` evaluation
-with a recorder attached, producing a trace with one segment per binary
-*and* returning the live run, so callers can immediately check
-record→replay equivalence.
-
-:func:`capture_replay` is the in-memory form: it steps a live program
-through a window and keeps the same ``(static index, aux)`` records a
-trace file would hold, wrapped as a
-:class:`~repro.trace.replay.ReplayProgram` the batch and grid engines
-can replay — the way a live grid unit shares one execution between many
-machine configurations.
+:func:`record_trace` is the one-call form the CLI uses: it captures both
+binaries of a workload, writes each segment to the trace file with one
+:meth:`~repro.trace.format.TraceWriter.write_segment` call, and scores
+the captured streams with :func:`~repro.sim.multi.run_all_schemes_grid`,
+returning the run so callers can immediately check record→replay
+equivalence.
 """
 
 from __future__ import annotations
 
+import time
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
+from repro import telemetry
 from repro.config import MachineConfig, SchemeName
 from repro.trace.format import (
     TraceSegment,
@@ -33,139 +31,54 @@ from repro.trace.format import (
     aux_kind,
     program_meta,
     step_aux,
+    trace_exhausted,
 )
+from repro.trace.replay import ReplayProgram
+from repro.workloads.synthetic import WorkloadProfile
 
 
-class _RecordingExecutor:
-    """Transparent executor proxy that tees StepResults to a writer."""
-
-    __slots__ = ("_inner", "_writer")
-
-    def __init__(self, inner, writer: TraceWriter) -> None:
-        self._inner = inner
-        self._writer = writer
-
-    @property
-    def pc(self) -> int:
-        return self._inner.pc
-
-    @property
-    def halted(self) -> bool:
-        return self._inner.halted
-
-    @property
-    def retired(self) -> int:
-        return self._inner.retired
-
-    def step(self):
-        step = self._inner.step()
-        self._writer.write_step(step)
-        return step
-
-    def run(self, max_instructions: int) -> int:
-        start = self._inner.retired
-        while not self._inner.halted \
-                and self._inner.retired - start < max_instructions:
-            self.step()
-        return self._inner.retired - start
+def _replay_prefix(segment, instructions: int) -> TraceSegment:
+    """The records of a decoded segment (eager or streamed) up to
+    ``instructions`` useful steps or HALT, as an eager segment with the
+    source's meta; :class:`~repro.errors.TraceError` if the recording
+    ends first."""
+    source = segment.window_source()
+    statics = source.instructions
+    records = []
+    useful = 0
+    while useful < instructions:
+        window = source.next_window()
+        if window is None:
+            raise trace_exhausted(len(records))
+        for record in window.records:
+            records.append(record)
+            instr = statics[record[0]]
+            if instr.kind_code == 14:  # HALT
+                return TraceSegment(dict(segment.meta), statics, records)
+            if not instr.is_boundary_branch:
+                useful += 1
+                if useful == instructions:
+                    break
+    return TraceSegment(dict(segment.meta), statics, records)
 
 
-class TraceRecorder:
-    """Captures every engine pass it is attached to as one trace segment.
+def capture_segment(program, *, instructions: int) -> TraceSegment:
+    """The committed stream of ``program`` for ``instructions`` useful
+    (non-boundary) instructions, stopping after a HALT.
 
-    Pass an instance as the ``recorder`` argument of
-    :meth:`repro.sim.simulator.Simulator.run_program` (or
-    :func:`~repro.sim.multi.run_all_schemes`); close it — or use it as a
-    context manager — to finalize the file.
+    A replay (anything carrying a decoded ``segment``) yields the prefix
+    of its recording.  A live program is executed functionally: the
+    statics are kept in first-execution order and one ``(static index,
+    aux)`` record per step, exactly what a trace file holds, so the
+    capture replays bit-identically to the recording.  The segment
+    keeps only the executed instructions, not ``program`` itself.
     """
-
-    def __init__(self, path: Union[str, Path], *, header: dict) -> None:
-        self.writer = TraceWriter(path, header=header)
-
-    def attach(self, executor, program) -> _RecordingExecutor:
-        """Called by the engine at construction: opens a segment for
-        ``program``'s binary and returns the wrapped executor."""
-        self.writer.begin_segment(program_meta(program))
-        return _RecordingExecutor(executor, self.writer)
-
-    def close(self) -> None:
-        self.writer.close()
-
-    def abort(self) -> None:
-        """Delete the partial output (the run being recorded failed)."""
-        self.writer.abort()
-
-    def __enter__(self) -> "TraceRecorder":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is not None:
-            self.abort()
-        else:
-            self.close()
-
-
-def record_trace(workload, config: MachineConfig, *,
-                 instructions: int, warmup: int = 0,
-                 path: Union[str, Path],
-                 schemes: Optional[Sequence[SchemeName]] = None,
-                 page_sizes: Optional[Sequence[int]] = None):
-    """Run ``workload`` live (both binaries) while recording it to
-    ``path``; returns the live :class:`~repro.sim.multi.CombinedRun`.
-
-    ``workload`` is a registry name or a workload object.  The recorded
-    window is ``warmup + instructions`` useful instructions per binary —
-    a replay can use any window up to that size.  ``page_sizes`` records
-    additional binary pairs linked at other page sizes (the committed
-    stream depends on the layout, hence on the page size), so one trace
-    file can serve the page-size sensitivity sweep; the returned run is
-    always the one at ``config``'s own page size.
-    """
-    from repro.sim.multi import run_all_schemes
-
-    if isinstance(workload, str):
-        from repro.workloads.registry import resolve
-        workload = resolve(workload)
-    sizes = [config.mem.page_bytes]
-    for size in page_sizes or ():
-        if size not in sizes:
-            sizes.append(size)
-    header = {
-        "format": "repro-itlb instruction trace",
-        "workload": workload.profile.name,
-        "instructions": instructions,
-        "warmup": warmup,
-        "page_bytes": config.mem.page_bytes,
-        "page_sizes": sizes,
-    }
-    with TraceRecorder(path, header=header) as recorder:
-        primary = None
-        for size in sizes:
-            sized = (config if size == config.mem.page_bytes
-                     else config.with_page_bytes(size))
-            run = run_all_schemes(
-                workload, sized, instructions=instructions, warmup=warmup,
-                schemes=schemes, recorder=recorder)
-            if size == config.mem.page_bytes:
-                primary = run
-        return primary
-
-
-def capture_replay(program, *, instructions: int):
-    """Execute ``program`` for ``instructions`` useful (non-boundary)
-    instructions and return its committed stream as an in-memory
-    :class:`~repro.trace.replay.ReplayProgram`.
-
-    The segment holds exactly what :class:`TraceRecorder` would write for
-    an engine pass over the same window (``warmup + instructions`` of a
-    job): the statics in first-execution order and one ``(static index,
-    aux)`` record per step, so replaying it is bit-identical to the live
-    run.  The replay keeps only the executed instructions, not
-    ``program`` itself.
-    """
-    from repro.trace.replay import ReplayProgram
+    recorded = getattr(program, "segment", None)
+    if recorded is not None:
+        return _replay_prefix(recorded, instructions)
     from repro.vm.os_model import AddressSpace
 
+    started = time.perf_counter()
     executor = program.make_executor(AddressSpace(program))
     segment = TraceSegment(meta=program_meta(program))
     statics = segment.instructions
@@ -184,4 +97,79 @@ def capture_replay(program, *, instructions: int):
         records.append((entry[0], step_aux(entry[1], step)))
         if not instr.is_boundary_branch:
             useful += 1
-    return ReplayProgram(segment)
+    telemetry.note_capture(time.perf_counter() - started)
+    return segment
+
+
+def capture_replay(program, *, instructions: int) -> ReplayProgram:
+    """:func:`capture_segment` as an in-memory :class:`ReplayProgram`."""
+    return ReplayProgram(capture_segment(program,
+                                         instructions=instructions))
+
+
+class _Captured:
+    """A workload whose binaries are already captured: ``link`` hands
+    back the :class:`~repro.trace.replay.ReplayProgram` of each."""
+
+    def __init__(self, name: str,
+                 programs: Dict[bool, ReplayProgram]) -> None:
+        self.profile = WorkloadProfile(name=name)
+        self._programs = programs
+
+    def link(self, *, page_bytes: int,
+             instrumented: bool = False) -> ReplayProgram:
+        return self._programs[instrumented]
+
+
+def record_trace(workload, config: MachineConfig, *,
+                 instructions: int, warmup: int = 0,
+                 path: Union[str, Path],
+                 schemes: Optional[Sequence[SchemeName]] = None,
+                 page_sizes: Optional[Sequence[int]] = None):
+    """Record ``workload`` (both binaries) to ``path`` and return its
+    :class:`~repro.sim.multi.CombinedRun` at ``config``.
+
+    ``workload`` is a registry name or a workload object (a live one, or
+    a replay whose prefix is re-recorded).  The recorded window is
+    ``warmup + instructions`` useful instructions per binary — a replay
+    can use any window up to that size.  The instrumented binary is
+    recorded only when ``schemes`` asks for an instrumented scheme.
+    ``page_sizes`` records additional binary pairs linked at other page
+    sizes (the committed stream depends on the layout, hence on the page
+    size), so one trace file can serve the page-size sensitivity sweep;
+    those are captured and written but not simulated — the returned run
+    is always the one at ``config``'s own page size.
+    """
+    from repro.sim.multi import run_all_schemes_grid, split_schemes
+
+    if isinstance(workload, str):
+        from repro.workloads.registry import resolve
+        workload = resolve(workload)
+    sizes = [config.mem.page_bytes]
+    for size in page_sizes or ():
+        if size not in sizes:
+            sizes.append(size)
+    header = {
+        "format": "repro-itlb instruction trace",
+        "workload": workload.profile.name,
+        "instructions": instructions,
+        "warmup": warmup,
+        "page_bytes": config.mem.page_bytes,
+        "page_sizes": sizes,
+    }
+    _plain, instr_set = split_schemes(schemes)
+    binaries = (False, True) if instr_set else (False,)
+    with TraceWriter(path, header=header) as writer:
+        primary: Dict[bool, ReplayProgram] = {}
+        for size in sizes:
+            for instrumented in binaries:
+                segment = capture_segment(
+                    workload.link(page_bytes=size,
+                                  instrumented=instrumented),
+                    instructions=warmup + instructions)
+                writer.write_segment(segment)
+                if size == config.mem.page_bytes:
+                    primary[instrumented] = ReplayProgram(segment)
+        return run_all_schemes_grid(
+            _Captured(workload.profile.name, primary), [config],
+            instructions=instructions, warmup=warmup, schemes=schemes)[0]

@@ -101,22 +101,21 @@ def _dynamic_branch_classes(workload: SyntheticWorkload,
                             config: MachineConfig, *, instructions: int,
                             warmup: int) -> tuple[int, int, int]:
     """Count (analyzable, analyzable-and-in-page, total) over the dynamic
-    control instructions of the committed stream — Table 4's dynamic half."""
-    from repro.vm.os_model import AddressSpace
+    control instructions of the committed stream — Table 4's dynamic half.
 
-    program = workload.link(page_bytes=config.mem.page_bytes)
-    space = AddressSpace(program)
-    # through the program's executor hook, so replayed traces classify
-    # their recorded stream instead of re-executing
-    executor = program.make_executor(space)
-    executor.run(warmup)
+    Reads steps ``[warmup, warmup + instructions)`` of the binary's
+    committed segment: captured for a live workload, recorded for a
+    replayed one."""
+    from repro.trace.record import capture_segment
+
+    segment = capture_segment(
+        workload.link(page_bytes=config.mem.page_bytes),
+        instructions=warmup + instructions)
+    statics = segment.instructions
     page_bytes = config.mem.page_bytes
     analyzable = in_page = total = 0
-    executed = 0
-    while executed < instructions and not executor.halted:
-        step = executor.step()
-        executed += 1
-        instr = step.instr
+    for index, _aux in segment.records[warmup:warmup + instructions]:
+        instr = statics[index]
         if not instr.is_control:
             continue
         total += 1

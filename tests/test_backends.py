@@ -14,6 +14,7 @@ Acceptance-critical properties:
 """
 
 import dataclasses
+import hashlib
 import json
 import multiprocessing
 import os
@@ -32,6 +33,7 @@ from repro.config import TLBConfig, default_config
 from repro.runner import (
     FileQueue,
     FileQueueBackend,
+    SPEC_FORMAT,
     JobSpec,
     PoolBackend,
     ResultStore,
@@ -629,6 +631,54 @@ class TestFileQueue:
         assert "does not match" in queue.read_error(spec.key)
         assert queue.idle()  # poisoned jobs do not bounce forever
         assert queue.dead()  # ... they dead-letter instead
+
+    def test_old_engine_name_fails_as_that_job(self, tmp_path):
+        """A job file (or grid member) naming the removed 'scalar' or
+        'batch' engine — an older enqueuer's — fails as that one job
+        with a ConfigError; the worker dead-letters it and goes on to
+        finish a concurrent sweep through the queue backend."""
+        root = tmp_path / "q"
+        queue = FileQueue(root)
+        poisoned = {}
+        for engine in ("scalar", "batch"):
+            spec = _spec(instructions=1_000 + len(poisoned)).to_dict()
+            spec["engine"] = engine
+            key = hashlib.sha256(json.dumps(
+                spec, sort_keys=True).encode()).hexdigest()
+            poisoned[engine] = key
+            (queue.jobs_dir / f"{key}.json").write_text(seal_payload(
+                {"format": QUEUE_FORMAT, "key": key, "spec": spec}))
+        grid_member = _spec(instructions=1_500).to_dict()
+        grid = {"format": SPEC_FORMAT, "kind": "grid",
+                "members": [_spec(instructions=1_500).to_dict(),
+                            dict(grid_member, engine="batch")]}
+        poisoned["grid"] = "f" * 64
+        (queue.jobs_dir / f"{poisoned['grid']}.json").write_text(
+            seal_payload({"format": QUEUE_FORMAT, "key": poisoned["grid"],
+                          "kind": "grid", "spec": grid}))
+        good = _spec()
+        backend = FileQueueBackend(root, poll_seconds=0.02, timeout=60)
+        runner = SweepRunner(store=ResultStore(backend.store_root),
+                             backend=backend)
+        box = {}
+        submitter = threading.Thread(
+            target=lambda: box.update(results=runner.run([good])))
+        submitter.start()
+        _wait_for(lambda: len(FileQueue(root).pending()) == 4,
+                  message="the sweep's job")
+        stats = _drain(root)
+        submitter.join(timeout=60)
+        assert not submitter.is_alive()
+        (result,) = box["results"]
+        assert result.ok, result.error
+        assert stats.failed == 3 and stats.executed == 1
+        for name, key in poisoned.items():
+            error = queue.read_error(key)
+            assert "ConfigError" in error, name
+            assert "unknown engine" in error, name
+        assert sorted(p.name for p in queue.dead()) == sorted(
+            f"{key}.json" for key in poisoned.values())
+        assert queue.idle()
 
     def test_foreign_format_job_recorded_as_error(self, tmp_path):
         root = tmp_path / "q"

@@ -1,16 +1,20 @@
-"""Batch-engine equivalence, flat-array columns, trace memoization, and
+"""Column-engine answers, flat-array columns, trace memoization, and
 the bench harness.
 
-The batched replay engine's one invariant is *bit-identity* with the
-scalar fast engine: every counter, cycle, and energy number of
-``EngineResult.to_dict()`` must match byte for byte, for every workload,
-iL1 addressing discipline, binary, and scheme set.  This suite pins that
+The fast engine runs one loop — over a live program's captured stream
+or a trace's decoded one.  The per-step evaluator it replaced is frozen
+in ``tests/golden/scalar_reference.json``: for every case below, the
+SHA-256 of the canonical ``CombinedRun.to_dict()`` JSON that evaluator
+produced, plus the digest of every micro trace the fixture records.
+Every counter, cycle, and energy number must still match byte for byte,
+for every workload, iL1 addressing discipline, binary, and scheme set —
 over all six micro workloads, the mesa SPEC stand-in, and both imported
-foreign fixtures — serially and through a two-worker sweep.
+foreign fixtures, serially and through a two-worker sweep.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -26,7 +30,6 @@ from repro.config import (
     TLBConfig,
     default_config,
 )
-from repro.cpu.batch import BatchEngine
 from repro.cpu.fast import FastEngine
 from repro.errors import ConfigError, TraceError
 from repro.runner import (
@@ -38,7 +41,7 @@ from repro.runner import (
 )
 from repro.runner.gridspec import GridSpec, grid_eligible, plan_units
 from repro.sim.multi import run_all_schemes
-from repro.sim.simulator import Simulator
+from repro.sim.simulator import ENGINE_NAMES, Simulator
 from repro.trace.format import (
     PLAIN_KINDS,
     TRACE_CACHE_CAPACITY,
@@ -49,21 +52,31 @@ from repro.trace.record import record_trace
 from repro.trace.replay import load_trace_workload
 from repro.workloads.registry import MICROBENCH_NAMES, resolve
 
-GOLDEN_MESA = Path(__file__).parent / "golden" / "mesa.trace.gz"
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_MESA = GOLDEN / "mesa.trace.gz"
 FIXTURES = Path(__file__).parent / "fixtures"
 
+#: the per-step evaluator's answers for this module's cases
+REFERENCE = json.loads(
+    (GOLDEN / "scalar_reference.json").read_text())["equivalence"]
+
 #: recording window for the per-micro traces (small: 9 workloads x 3
-#: addressings x 2 engines run over these)
+#: addressings run over these)
 MICRO_INSTRUCTIONS, MICRO_WARMUP = 2_000, 300
 MESA_INSTRUCTIONS, MESA_WARMUP = 3_000, 500
 
 ADDRESSINGS = tuple(CacheAddressing)
 
+IMPORTS = {
+    "eio": f"import:eio:{FIXTURES / 'twopage.eio.txt'}",
+    "gem5": f"import:gem5:{FIXTURES / 'loopcall.gem5.txt.gz'}",
+}
+
 
 @pytest.fixture(scope="module")
 def micro_traces(tmp_path_factory):
     """One recorded trace per microbenchmark (module-scoped: recording
-    runs the live simulator twice per workload)."""
+    captures and scores both binaries per workload)."""
     root = tmp_path_factory.mktemp("batch-traces")
     paths = {}
     for name in MICROBENCH_NAMES:
@@ -79,45 +92,51 @@ def _canon(run) -> str:
     return json.dumps(run.to_dict(), sort_keys=True)
 
 
-def _assert_equivalent(workload, config, instructions, warmup):
-    """scalar vs batch full evaluation must serialize identically."""
-    scalar = run_all_schemes(workload, config, instructions=instructions,
-                             warmup=warmup, engine="scalar")
-    batch = run_all_schemes(workload, config, instructions=instructions,
-                            warmup=warmup, engine="batch")
-    assert _canon(scalar) == _canon(batch)
-    # and the default engine must pick the batch path transparently
-    auto = run_all_schemes(workload, config, instructions=instructions,
-                           warmup=warmup)
-    assert _canon(auto) == _canon(scalar)
+def _digest(run) -> str:
+    return hashlib.sha256(_canon(run).encode("utf-8")).hexdigest()
+
+
+def _assert_reference(case, workload, config, instructions, warmup,
+                      **kwargs):
+    """The engine's full evaluation must serialize exactly as the
+    per-step evaluator's did."""
+    run = run_all_schemes(workload, config, instructions=instructions,
+                          warmup=warmup, **kwargs)
+    assert _digest(run) == REFERENCE["runs"][case], case
 
 
 class TestEquivalence:
+    def test_recorded_traces_match_reference(self, micro_traces):
+        """Recording writes the bytes the recorder tee used to."""
+        for name, path in micro_traces.items():
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            assert digest == REFERENCE["traces"][name], name
+
     @pytest.mark.parametrize("addressing", ADDRESSINGS,
                              ids=[a.value for a in ADDRESSINGS])
     @pytest.mark.parametrize("name", [f"micro.{m}"
                                       for m in MICROBENCH_NAMES])
     def test_micro_workloads(self, micro_traces, name, addressing):
         workload = load_trace_workload(micro_traces[name])
-        _assert_equivalent(workload, default_config(addressing),
-                           MICRO_INSTRUCTIONS, MICRO_WARMUP)
+        _assert_reference(f"{name}/{addressing.value}", workload,
+                          default_config(addressing),
+                          MICRO_INSTRUCTIONS, MICRO_WARMUP)
 
     @pytest.mark.parametrize("addressing", ADDRESSINGS,
                              ids=[a.value for a in ADDRESSINGS])
     def test_mesa_golden_trace(self, addressing):
         workload = load_trace_workload(GOLDEN_MESA)
-        _assert_equivalent(workload, default_config(addressing),
-                           MESA_INSTRUCTIONS, MESA_WARMUP)
+        _assert_reference(f"mesa/{addressing.value}", workload,
+                          default_config(addressing),
+                          MESA_INSTRUCTIONS, MESA_WARMUP)
 
     @pytest.mark.parametrize("addressing", ADDRESSINGS,
                              ids=[a.value for a in ADDRESSINGS])
-    @pytest.mark.parametrize("name", [
-        f"import:eio:{FIXTURES / 'twopage.eio.txt'}",
-        f"import:gem5:{FIXTURES / 'loopcall.gem5.txt.gz'}",
-    ], ids=["eio", "gem5"])
+    @pytest.mark.parametrize("name", sorted(IMPORTS))
     def test_imported_fixtures(self, name, addressing):
-        _assert_equivalent(resolve(name), default_config(addressing),
-                           600, 100)
+        _assert_reference(f"{name}/{addressing.value}",
+                          resolve(IMPORTS[name]),
+                          default_config(addressing), 600, 100)
 
     @pytest.mark.parametrize("schemes", [
         (SchemeName.BASE,),
@@ -126,58 +145,45 @@ class TestEquivalence:
         (SchemeName.HOA, SchemeName.SOLA),
     ], ids=["base", "opt", "soca+ia", "hoa+sola"])
     def test_scheme_subsets(self, schemes):
-        workload = load_trace_workload(GOLDEN_MESA)
-        config = default_config()
-        scalar = run_all_schemes(workload, config,
-                                 instructions=MESA_INSTRUCTIONS,
-                                 warmup=MESA_WARMUP, schemes=schemes,
-                                 engine="scalar")
-        batch = run_all_schemes(workload, config,
-                                instructions=MESA_INSTRUCTIONS,
-                                warmup=MESA_WARMUP, schemes=schemes,
-                                engine="batch")
-        assert _canon(scalar) == _canon(batch)
+        ident = "+".join(s.value for s in schemes)
+        _assert_reference(f"schemes:{ident}",
+                          load_trace_workload(GOLDEN_MESA),
+                          default_config(), MESA_INSTRUCTIONS,
+                          MESA_WARMUP, schemes=schemes)
 
     def test_zero_warmup_and_tiny_windows(self):
         workload = load_trace_workload(GOLDEN_MESA)
-        config = default_config()
         for instructions, warmup in ((1, 0), (17, 0), (100, 3)):
-            scalar = run_all_schemes(workload, config,
-                                     instructions=instructions,
-                                     warmup=warmup, engine="scalar")
-            batch = run_all_schemes(workload, config,
-                                    instructions=instructions,
-                                    warmup=warmup, engine="batch")
-            assert _canon(scalar) == _canon(batch)
+            _assert_reference(f"window:{instructions}+{warmup}", workload,
+                              default_config(), instructions, warmup)
 
     def test_engine_result_reports_fast(self):
-        """Batch results are the fast engine's results (cache keys,
-        golden files, and record->replay identity depend on it)."""
+        """Results name the fast engine (cache keys, golden files, and
+        record->replay identity depend on it)."""
         workload = load_trace_workload(GOLDEN_MESA)
         run = run_all_schemes(workload, default_config(),
-                              instructions=500, warmup=0, engine="batch")
+                              instructions=500, warmup=0)
         assert run.plain.engine == "fast"
 
 
 class TestSweepEquivalence:
-    """Auto-selected batch engine through the runner, serial and
-    parallel."""
+    """The engine through the runner, serial and parallel, against the
+    per-step evaluator's frozen answer."""
 
     @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "workers2"])
     def test_sweep_matches_scalar(self, tmp_path, workers):
-        spec_args = dict(config=default_config(),
-                         instructions=MESA_INSTRUCTIONS,
-                         warmup=MESA_WARMUP)
-        name = f"trace:{GOLDEN_MESA}"
-        fast = JobSpec(workload=name, engine="fast", **spec_args)
-        scalar = JobSpec(workload=name, engine="scalar", **spec_args)
-        assert fast.key != scalar.key  # forced runs cache separately
+        spec = JobSpec(workload=f"trace:{GOLDEN_MESA}",
+                       config=default_config(),
+                       instructions=MESA_INSTRUCTIONS, warmup=MESA_WARMUP)
+        live = JobSpec(workload="micro.call_return", config=default_config(),
+                       instructions=MESA_INSTRUCTIONS, warmup=MESA_WARMUP)
         runner = SweepRunner(store=ResultStore(tmp_path / "cache"),
                              workers=workers)
-        results = {r.spec.engine: r for r in runner.run([fast, scalar])}
-        assert results["fast"].ok and results["scalar"].ok, results
-        assert (_canon(results["fast"].run)
-                == _canon(results["scalar"].run))
+        replayed, captured = runner.run([spec, live])
+        assert replayed.ok and captured.ok, (replayed.error,
+                                             captured.error)
+        assert (_digest(replayed.run)
+                == REFERENCE["runs"][f"mesa/{CacheAddressing.VIPT.value}"])
 
 
 #: the member geometries every grid-equivalence case sweeps
@@ -264,13 +270,13 @@ class TestGridPlanning:
                 "177.mesa", 2_000, 300, [small[0], large[1]])))
 
     def test_solo_and_ineligible_specs_stay_jobs(self):
-        """A live job with no partner stays solo (scalar engine); live
-        jobs on a forced engine never grid."""
+        """A live job with no partner stays solo; jobs on the detailed
+        engine never grid."""
         lone = _grid_specs("micro.call_return", 2_000, 300,
                            LIVE_GRID_CONFIGS[:1])
         forced = [JobSpec(workload="177.mesa", config=config,
-                          instructions=2_000, warmup=300, engine=engine)
-                  for engine in ("scalar", "batch")
+                          instructions=2_000, warmup=300, engine="ooo",
+                          schemes=(SchemeName.IA,))
                   for config in LIVE_GRID_CONFIGS[:2]]
         assert not any(grid_eligible(spec) for spec in forced)
         units = plan_units(lone + forced)
@@ -414,40 +420,59 @@ def _stop_workers(workers) -> None:
 
 class TestEngineSelection:
     def test_batch_engine_rejects_live_programs(self):
+        """The 'batch' engine name is gone: asking for it on a live
+        program (or anything else) is a typed error, not a silent
+        fallback."""
         program = resolve("micro.counted_loop").link()
-        with pytest.raises(ConfigError, match="live workload"):
-            BatchEngine(program, default_config())
         simulator = Simulator(default_config())
-        with pytest.raises(ConfigError, match="live program"):
+        with pytest.raises(ConfigError, match="unknown engine 'batch'"):
             simulator.run_program(program, instructions=100, engine="batch")
 
-    def test_scalar_forces_fast_engine_on_traces(self):
+    def test_old_engine_names_rejected(self):
+        """'scalar' and 'batch' fail at every boundary that takes an
+        engine name: the simulator, the two-pass evaluation, JobSpec
+        construction and a JobSpec read from another process."""
+        assert ENGINE_NAMES == ("fast", "ooo")
         workload = load_trace_workload(GOLDEN_MESA)
         program = workload.link(page_bytes=4096)
-        result = Simulator(default_config()).run_program(
-            program, instructions=200, engine="scalar")
-        assert result.engine == "fast"
+        spec = JobSpec(workload="micro.counted_loop",
+                       config=default_config(), instructions=100)
+        for name in ("scalar", "batch"):
+            with pytest.raises(ConfigError, match="unknown engine"):
+                Simulator(default_config()).run_program(
+                    program, instructions=200, engine=name)
+            with pytest.raises(ConfigError, match="unknown engine"):
+                run_all_schemes(workload, default_config(),
+                                instructions=200, engine=name)
+            with pytest.raises(ConfigError, match="unknown engine"):
+                JobSpec(workload="micro.counted_loop",
+                        config=default_config(), instructions=100,
+                        engine=name)
+            with pytest.raises(ConfigError, match="unknown engine"):
+                JobSpec.from_dict(dict(spec.to_dict(), engine=name))
 
-    def test_recording_falls_back_to_scalar(self, tmp_path):
-        """record over a replay must still work (recorder needs the
-        StepResult stream, which only the scalar engine produces)."""
+    def test_recording_over_a_replay(self, tmp_path):
+        """Re-recording a replay writes the prefix of its stream with
+        the original geometry, so the new trace replays bit-identically
+        to the old one over the re-recorded window."""
         out = tmp_path / "rerecord.trace.gz"
-        record_trace(f"trace:{GOLDEN_MESA}", default_config(),
-                     instructions=500, warmup=0, path=out)
-        assert out.exists()
+        rerun = record_trace(f"trace:{GOLDEN_MESA}", default_config(),
+                             instructions=500, warmup=100, path=out)
+        original = load_trace(GOLDEN_MESA)
         rerecorded = load_trace_workload(out)
-        assert rerecorded.trace.segments
-
-    def test_batch_engine_rejects_recorder(self):
-        workload = load_trace_workload(GOLDEN_MESA)
-        program = workload.link(page_bytes=4096)
-        with pytest.raises(ConfigError, match="recording"):
-            BatchEngine(program, default_config(), recorder=object())
+        assert ([s.meta for s in rerecorded.trace.segments]
+                == [s.meta for s in original.segments])
+        replayed = run_all_schemes(rerecorded, default_config(),
+                                   instructions=500, warmup=100)
+        direct = run_all_schemes(load_trace_workload(GOLDEN_MESA),
+                                 default_config(), instructions=500,
+                                 warmup=100)
+        assert _canon(replayed) == _canon(direct) == _canon(rerun)
 
     def test_exhaustion_raises_trace_error(self):
         workload = load_trace_workload(GOLDEN_MESA)
         program = workload.link(page_bytes=4096)
-        engine = BatchEngine(program, default_config())
+        engine = FastEngine(program, default_config())
         with pytest.raises(TraceError, match="trace exhausted"):
             engine.run(10_000_000)
 
@@ -575,14 +600,19 @@ class TestTraceMemoization:
 
 class TestBenchHarness:
     def test_bench_workload_structure_and_equivalence_gate(self, tmp_path):
-        from repro.bench import bench_workload, check_floor, speedups
+        from repro.bench import (
+            SCALAR_REFERENCE,
+            bench_workload,
+            check_floor,
+            speedups,
+        )
         records = bench_workload(
             "177.mesa", GOLDEN_MESA, instructions=800, warmup=100,
             repeats=1)
         assert {(r.mode, r.engine) for r in records} == {
-            ("engine", "scalar"), ("engine", "batch"),
-            ("job", "scalar"), ("job", "batch"),
-            ("grid", "scalar"), ("grid", "batch"),
+            ("engine", "batch"),
+            ("job", "cold"), ("job", "warm"),
+            ("grid", "solo"), ("grid", "grid"),
             ("stream", "eager"), ("stream", "windowed")}
         for record in records:
             assert record.instr_per_sec > 0
@@ -593,14 +623,24 @@ class TestBenchHarness:
         peaks = {r.engine: r.peak_window_bytes for r in records
                  if r.mode == "stream"}
         assert 0 < peaks["windowed"] < peaks["eager"]
-        ratios = speedups(records)["177.mesa"]
+        ratios = speedups(records, calibration_seconds=0.1)["177.mesa"]
         assert set(ratios) == {"engine", "job", "grid", "stream"}
-        payload = {"speedups": {"177.mesa": ratios}}
+        # the engine ratio is calibrated throughput over the reference's
+        engine = next(r for r in records if r.mode == "engine")
+        assert ratios["engine"] == pytest.approx(
+            engine.instr_per_sec * 0.1
+            / (SCALAR_REFERENCE["instr_per_sec"]
+               * SCALAR_REFERENCE["calibration_seconds"]))
+        payload = {"scalar_reference": SCALAR_REFERENCE,
+                   "speedups": {"177.mesa": ratios}}
         # an absurd floor fails, a zero floor passes
         assert check_floor(payload, 1e9)
         assert not check_floor(payload, 0.0)
+        # a report without the reference workload cannot pass vacuously
+        assert check_floor(dict(payload, speedups={}), 0.0)
 
     def test_cli_bench_writes_report(self, tmp_path, capsys):
+        from repro.bench import BENCH_FORMAT, SCALAR_REFERENCE
         from repro.cli import main
         out = tmp_path / "BENCH_test.json"
         code = main(["bench", "--quick", "--instructions", "600",
@@ -609,6 +649,16 @@ class TestBenchHarness:
                      "-o", str(out), "--fail-below", "0.0"])
         assert code == 0
         payload = json.loads(out.read_text())
-        assert payload["bench_format"] == 1
+        assert payload["bench_format"] == BENCH_FORMAT == 2
+        assert payload["calibration_seconds"] > 0
+        assert payload["scalar_reference"] == SCALAR_REFERENCE
         assert payload["speedups"]["177.mesa"]["engine"] > 0
         assert "floor check passed" in capsys.readouterr().out
+
+    def test_committed_bench_file_carries_the_reference(self):
+        """The floor's frozen figure is the one committed with the
+        change that removed the per-step evaluator."""
+        from repro.bench import SCALAR_REFERENCE
+        committed = json.loads(
+            (Path(__file__).parents[1] / "BENCH_14.json").read_text())
+        assert committed["scalar_reference"] == SCALAR_REFERENCE

@@ -16,6 +16,7 @@ on-disk trace *format*: if this suite can no longer read it, the format
 changed and :data:`repro.trace.format.TRACE_VERSION` must be bumped.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -23,6 +24,7 @@ import pytest
 
 from repro.config import CacheAddressing, SchemeName, default_config
 from repro.experiments.common import combined_run, default_settings
+from repro.runner.jobspec import MODEL_VERSION
 from repro.sim.multi import run_all_schemes
 from repro.trace import file_digest, load_trace_workload, record_trace
 from repro.workloads.spec2000 import BENCHMARK_NAMES
@@ -158,3 +160,47 @@ class TestCheckedInTraceReplay:
                      instructions=TRACE_INSTRUCTIONS, warmup=TRACE_WARMUP,
                      path=fresh)
         assert fresh.read_bytes() == TRACE_FILE.read_bytes()
+
+
+#: digest of ``tests/golden/*.json`` under every model version so far.
+#: A change that moves a golden number must bump
+#: :data:`repro.runner.jobspec.MODEL_VERSION` (so no result store serves
+#: the old model's results under the new model's keys) and add the new
+#: version's digest here; rewriting an existing entry rewrites history.
+GOLDEN_DIGESTS = {
+    1: "2bbfdb6e77a9081444dd959c1c8a8367b5150ee5ddc63c7dbcce52e14fca174d",
+}
+
+
+def _golden_json_digest() -> str:
+    digest = hashlib.sha256()
+    for path in sorted(GOLDEN_DIR.glob("*.json")):
+        digest.update(path.name.encode("utf-8"))
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+class TestModelVersion:
+    def test_golden_files_pinned_to_model_version(self):
+        assert MODEL_VERSION == max(GOLDEN_DIGESTS), (
+            f"MODEL_VERSION {MODEL_VERSION} has no pinned golden digest")
+        assert _golden_json_digest() == GOLDEN_DIGESTS[MODEL_VERSION], (
+            "tests/golden/*.json changed under an unchanged "
+            f"MODEL_VERSION ({MODEL_VERSION}): bump it in "
+            "repro/runner/jobspec.py and pin the new digest here")
+
+    def test_model_version_is_hashed_into_job_keys(self, monkeypatch):
+        from repro.runner import jobspec
+
+        def key() -> str:
+            return jobspec.JobSpec(workload="micro.counted_loop",
+                                   config=default_config(),
+                                   instructions=100).key
+
+        current = key()
+        monkeypatch.setattr(jobspec, "MODEL_VERSION", MODEL_VERSION + 1)
+        assert key() != current
+        bumped = jobspec.JobSpec(workload="micro.counted_loop",
+                                 config=default_config(), instructions=100)
+        assert bumped.to_dict()["model_version"] == MODEL_VERSION + 1

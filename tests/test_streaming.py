@@ -1,15 +1,16 @@
 """Streaming (windowed) trace decode: bit-identity and bounded memory.
 
-The streaming pipeline's one invariant mirrors the batch engine's:
-replaying through bounded decode windows must be *bit-identical* to the
-eager whole-file decode — every counter, cycle, and energy number of
-``to_dict()``, every content-addressed store filename — for every
-workload, engine (scalar / batch / grid), and backend (serial / pool /
-queue).  This suite pins that over the six micro workloads, the mesa
+The streaming pipeline's one invariant: replaying through bounded
+decode windows must be *bit-identical* to the eager whole-file decode —
+every counter, cycle, and energy number of ``to_dict()``, every
+content-addressed store filename — and to the per-step evaluator's
+frozen answers (``tests/golden/scalar_reference.json``), for every
+workload, the single and grid passes, and every backend (serial / pool
+/ queue).  This suite pins that over the six micro workloads, the mesa
 golden trace, and both converted foreign fixtures, plus the edge
 geometry that makes windowing subtle: a window boundary splitting a
 run-length run, a truncated final window, a window larger than the
-whole trace, and a recorder attached mid-replay.
+whole trace, and a re-recording from a streamed replay.
 
 The decode *policy* (``REPRO_TRACE_WINDOW``, the size threshold, the
 byte-budgeted LRU of satellite ``REPRO_TRACE_LRU_BYTES``) and the
@@ -19,6 +20,7 @@ are pinned here too.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -49,10 +51,13 @@ from repro.trace.format import (
     parse_byte_size,
 )
 from repro.trace.record import record_trace
-from repro.trace.replay import StreamingTraceExecutor
 from repro.workloads.registry import MICROBENCH_NAMES
 
 GOLDEN_MESA = Path(__file__).parent / "golden" / "mesa.trace.gz"
+#: the per-step evaluator's answers (and recorded trace digests) for
+#: this module's windows
+REFERENCE = json.loads((Path(__file__).parent / "golden"
+                        / "scalar_reference.json").read_text())["streaming"]
 FIXTURES = Path(__file__).parent / "fixtures"
 WINDOW_ENV = "REPRO_TRACE_WINDOW"
 
@@ -94,7 +99,7 @@ def _canon(run) -> str:
     return json.dumps(run.to_dict(), sort_keys=True)
 
 
-def _replay(path, engine, instructions, warmup, *, window=None):
+def _replay(path, instructions, warmup, *, window=None):
     """One full evaluation, freshly loaded, optionally with a forced
     streaming window."""
     clear_trace_cache()
@@ -107,10 +112,8 @@ def _replay(path, engine, instructions, warmup, *, window=None):
         workload = load_trace_workload(path)
         if window is not None:
             assert isinstance(workload.trace, StreamTraceFile)
-        kwargs = {} if engine is None else {"engine": engine}
         return run_all_schemes(workload, default_config(),
-                               instructions=instructions, warmup=warmup,
-                               **kwargs)
+                               instructions=instructions, warmup=warmup)
     finally:
         if saved is None:
             os.environ.pop(WINDOW_ENV, None)
@@ -120,26 +123,36 @@ def _replay(path, engine, instructions, warmup, *, window=None):
 
 
 class TestBitIdentity:
-    """Forced-streaming replay == eager replay, byte for byte, for
-    every workload and engine."""
+    """Forced-streaming replay == eager replay == the per-step
+    evaluator's frozen answer, byte for byte, for every workload."""
 
-    @pytest.mark.parametrize("engine", ["scalar", "batch"])
+    def test_recorded_traces_match_reference(self, traces):
+        for name in MICROBENCH_NAMES:
+            path = traces[f"micro.{name}"][0]
+            assert (hashlib.sha256(path.read_bytes()).hexdigest()
+                    == REFERENCE["traces"][f"micro.{name}"]), name
+
+    #: "scalar": against the per-step evaluator's frozen digest;
+    #: "batch": against the eager column replay
+    @pytest.mark.parametrize("reference", ["scalar", "batch"])
     @pytest.mark.parametrize("name", [f"micro.{m}"
                                       for m in MICROBENCH_NAMES]
                              + ["177.mesa", "imported.eio",
                                 "imported.champsim"])
-    def test_workload(self, traces, name, engine):
+    def test_workload(self, traces, name, reference):
         path, instructions, warmup = traces[name]
-        eager = _replay(path, engine, instructions, warmup)
-        streamed = _replay(path, engine, instructions, warmup,
-                           window=TINY_WINDOW)
-        assert _canon(eager) == _canon(streamed)
+        streamed = _replay(path, instructions, warmup, window=TINY_WINDOW)
+        if reference == "scalar":
+            assert (hashlib.sha256(_canon(streamed).encode()).hexdigest()
+                    == REFERENCE["runs"][name])
+        else:
+            assert _canon(_replay(path, instructions, warmup)) \
+                == _canon(streamed)
 
     def test_auto_engine_selection_unchanged_by_streaming(self, traces):
         path, instructions, warmup = traces["177.mesa"]
-        eager = _replay(path, None, instructions, warmup)
-        streamed = _replay(path, None, instructions, warmup,
-                           window="8k")
+        eager = _replay(path, instructions, warmup)
+        streamed = _replay(path, instructions, warmup, window="8k")
         assert _canon(eager) == _canon(streamed)
         assert streamed.plain.engine == "fast"
 
@@ -151,11 +164,11 @@ class TestBitIdentity:
         eager = run_all_schemes(
             load_trace_workload(path), default_config(),
             instructions=instructions, warmup=warmup,
-            schemes=(SchemeName.SOCA, SchemeName.IA), engine="batch")
+            schemes=(SchemeName.SOCA, SchemeName.IA))
         streamed = run_all_schemes(
             _stream_workload(path, 4096), default_config(),
             instructions=instructions, warmup=warmup,
-            schemes=(SchemeName.SOCA, SchemeName.IA), engine="batch")
+            schemes=(SchemeName.SOCA, SchemeName.IA))
         assert _canon(eager) == _canon(streamed)
 
 
@@ -269,19 +282,19 @@ class TestWindowEdges:
         edge.  The batch fast path must retire across the seam
         bit-identically."""
         path, instructions, warmup = traces["micro.counted_loop"]
-        eager = _replay(path, "batch", instructions, warmup)
+        eager = _replay(path, instructions, warmup)
         for window in (TINY_WINDOW,  # 4 steps
                        str(COLUMN_BYTES_PER_STEP),  # 1 step: worst case
                        str(7 * COLUMN_BYTES_PER_STEP)):  # non-divisor
-            streamed = _replay(path, "batch", instructions, warmup,
+            streamed = _replay(path, instructions, warmup,
                                window=window)
             assert _canon(eager) == _canon(streamed), window
 
     def test_window_larger_than_trace(self, traces):
         path, instructions, warmup = traces["micro.counted_loop"]
-        eager = _replay(path, "batch", instructions, warmup)
+        eager = _replay(path, instructions, warmup)
         with collect() as metrics:
-            streamed = _replay(path, "batch", instructions, warmup,
+            streamed = _replay(path, instructions, warmup,
                                window="1g")
         assert _canon(eager) == _canon(streamed)
         # the whole segment fits one window; the full evaluation
@@ -297,8 +310,8 @@ class TestWindowEdges:
         steps = len(trace.segments[0].records)
         window_steps = 13
         assert steps % window_steps != 0  # the case under test
-        eager = _replay(path, "batch", instructions, warmup)
-        streamed = _replay(path, "batch", instructions, warmup,
+        eager = _replay(path, instructions, warmup)
+        streamed = _replay(path, instructions, warmup,
                            window=str(window_steps
                                       * COLUMN_BYTES_PER_STEP))
         assert _canon(eager) == _canon(streamed)
@@ -306,25 +319,8 @@ class TestWindowEdges:
     def test_exhaustion_error_identical_under_streaming(self):
         """Running past the final window raises the same typed error,
         with the same total step count, as running past an eager
-        segment — through the batch engine and the scalar executor."""
-        from repro.cpu.batch import BatchEngine
-
-        path = GOLDEN_MESA  # the micros halt; mesa runs off the end
-
-        def exhaust(stream):
-            clear_trace_cache()
-            trace = load_trace(path, use_cache=False, stream=stream)
-            from repro.trace.replay import TraceWorkload
-            program = TraceWorkload(path, trace).link(page_bytes=4096)
-            with pytest.raises(TraceError) as err:
-                BatchEngine(program, default_config()).run(10_000_000)
-            return str(err.value)
-
-        eager_message = exhaust(False)
-        assert "trace exhausted" in eager_message
-        assert exhaust(4 * COLUMN_BYTES_PER_STEP) == eager_message
-
-    def test_scalar_exhaustion_matches_eager(self):
+        segment."""
+        from repro.cpu.fast import FastEngine
         from repro.trace.replay import TraceWorkload
 
         path = GOLDEN_MESA  # the micros halt; mesa runs off the end
@@ -333,35 +329,34 @@ class TestWindowEdges:
             clear_trace_cache()
             trace = load_trace(path, use_cache=False, stream=stream)
             program = TraceWorkload(path, trace).link(page_bytes=4096)
-            executor = program.make_executor(None)
             with pytest.raises(TraceError) as err:
-                while True:
-                    executor.step()
+                FastEngine(program, default_config()).run(10_000_000)
             return str(err.value)
 
         eager_message = exhaust(False)
         assert "trace exhausted" in eager_message
         assert exhaust(4 * COLUMN_BYTES_PER_STEP) == eager_message
 
-    def test_scalar_executor_streams_lazily(self, traces):
-        """The streaming executor opens no window until first use —
-        BatchEngine constructs one it never steps — and resolves its pc
-        on first read."""
+    def test_engine_streams_lazily(self, traces):
+        """Building an engine over a streamed segment decodes nothing;
+        the first run pulls windows as the loop reaches them."""
+        from repro.cpu.fast import FastEngine
+        from repro.trace.replay import TraceWorkload
+
         path, _, _ = traces["micro.counted_loop"]
         trace = load_trace(path, stream=4 * COLUMN_BYTES_PER_STEP)
-        segment = trace.segment_for(instrumented=False,
-                                    page_bytes=4096)
-        executor = StreamingTraceExecutor(segment)
-        assert executor.retired == 0
-        assert executor.pc > 0  # first read pulls the first window
-        for _ in range(10):
-            executor.step()
-        assert executor.retired == 10
+        program = TraceWorkload(path, trace).link(page_bytes=4096)
+        with collect() as metrics:
+            engine = FastEngine(program, default_config())
+            assert metrics.stream_windows == 0
+            result = engine.run(10)
+        assert result.shared.instructions == 10
+        assert 0 < metrics.stream_windows <= 3
 
     def test_recorder_attached_mid_replay(self, traces, tmp_path):
-        """Re-recording *from* a streaming replay must produce the same
-        trace bytes as re-recording from an eager one (the recorder
-        consumes the scalar StepResult stream either way)."""
+        """Recording *from* a streaming replay must produce the same
+        trace bytes as recording from an eager one (both write the
+        prefix of the decoded stream)."""
         path, _, _ = traces["micro.taken_pattern"]
         out_eager = tmp_path / "eager.trace.gz"
         out_stream = tmp_path / "stream.trace.gz"
@@ -389,7 +384,7 @@ class TestMetricsAccounting:
         path, instructions, warmup = traces["micro.counted_loop"]
         budget = 16 * COLUMN_BYTES_PER_STEP
         with collect() as metrics:
-            _replay(path, "batch", instructions, warmup,
+            _replay(path, instructions, warmup,
                     window=str(budget))
         assert metrics.stream_windows > 1
         assert 0 < metrics.stream_peak_bytes <= budget
@@ -399,7 +394,7 @@ class TestMetricsAccounting:
     def test_eager_run_has_no_stream_fields(self, traces):
         path, instructions, warmup = traces["micro.counted_loop"]
         with collect() as metrics:
-            _replay(path, "batch", instructions, warmup)
+            _replay(path, instructions, warmup)
         assert metrics.stream_windows == 0
         assert metrics.stream_peak_bytes == 0
         assert metrics.decode_cold == 1

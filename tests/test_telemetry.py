@@ -241,11 +241,14 @@ class TestJobMetrics:
         (result,) = runner.run([_spec()])
         metrics = result.metrics
         assert metrics.workload == "micro.counted_loop"
-        assert metrics.engine == "scalar"  # live program: scalar loop
+        assert metrics.engine == "batch"  # the column loop, captured
         assert metrics.passes == 2  # plain + instrumented
         assert metrics.instructions > 0
         assert metrics.simulate_seconds > 0.0
-        assert metrics.total_seconds >= metrics.simulate_seconds
+        assert metrics.capture_seconds > 0.0  # live binaries executed
+        assert metrics.decode_cold == metrics.decode_cached == 0
+        assert (metrics.total_seconds
+                >= metrics.simulate_seconds + metrics.capture_seconds)
         assert metrics.instr_per_sec > 0.0
 
     def test_metrics_round_trip(self):
@@ -264,12 +267,12 @@ class TestJobMetrics:
         assert first.metrics.store_write_seconds > 0.0
         entry = json.loads(
             runner.store.path_for(spec).read_text())
-        assert entry["metrics"]["engine"] == "scalar"
+        assert entry["metrics"]["engine"] == "batch"
         # a fresh store (fresh process, conceptually) restores them
         reader = SweepRunner(store=ResultStore(tmp_path))
         (hit,) = reader.run([spec])
         assert hit.cached
-        assert hit.metrics.engine == "scalar"
+        assert hit.metrics.engine == "batch"
         assert hit.metrics.instructions == first.metrics.instructions
 
     def test_cached_result_without_metrics_entry(self, tmp_path):
@@ -292,16 +295,16 @@ class TestJobMetrics:
         ok, payload = _execute_payload(_spec().to_dict())
         assert ok
         side = payload.pop("__metrics__")
-        assert side["engine"] == "scalar" and side["passes"] == 2
+        assert side["engine"] == "batch" and side["passes"] == 2
         from repro.sim.multi import CombinedRun
         run = CombinedRun.from_dict(payload)  # clean after the pop
         assert "__metrics__" not in run.to_dict()
 
     def test_pool_backend_attaches_metrics(self):
-        """Both evaluators report through the pool: the two counted_loop
-        geometries share one grid unit (batch passes over a captured
-        stream); the lone call_return job runs solo on the scalar
-        engine."""
+        """Grid members and solo jobs report through the pool: the two
+        counted_loop geometries share one grid unit; the lone
+        call_return job runs alone — both on the column loop over a
+        captured stream."""
         runner = SweepRunner(workers=2, backend="pool")
         results = runner.run([_spec(entries=8), _spec(entries=32),
                               _spec(workload="micro.call_return")])
@@ -311,7 +314,8 @@ class TestJobMetrics:
             assert result.metrics.instructions > 0
         assert [(r.metrics.engine, r.metrics.grid_members)
                 for r in results] == [("batch", 2), ("batch", 2),
-                                      ("scalar", 0)]
+                                      ("batch", 0)]
+        assert all(r.metrics.capture_seconds > 0.0 for r in results)
 
     def test_grid_member_counts_one_sub_pass(self):
         """A unit spanning two iL1 addressings runs two sub-passes per
@@ -350,6 +354,7 @@ class TestJobMetrics:
         spec = _spec(workload=f"trace:{trace}")
         (cold,) = runner.run([spec])
         assert cold.metrics.engine == "batch"
+        assert cold.metrics.capture_seconds == 0.0  # replayed, not run
         assert cold.metrics.decode_cold >= 1
         assert cold.metrics.decode_seconds > 0.0
         # same trace again in this process: pure LRU hits
@@ -769,7 +774,7 @@ class TestCLI:
                      "--warmup", "400", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["metrics"]["jobs_measured"] == 1
-        assert payload["jobs"][0]["metrics"]["engine"] == "scalar"
+        assert payload["jobs"][0]["metrics"]["engine"] == "batch"
         assert "metrics" not in payload["stats"]
 
     def test_sweep_table_phase_note(self, capsys):
