@@ -224,11 +224,16 @@ class FastEngine:
                 self._segment = capture_segment(
                     self.program, instructions=warmup + instructions)
             self._source = self._segment.window_source()
-        if warmup:
-            self._run_columns(warmup)
-        self._reset_measurement()
-        cycles_start = self._commit_cycle
-        self._run_columns(instructions)
+        try:
+            if warmup:
+                self._run_columns(warmup)
+            self._reset_measurement()
+            cycles_start = self._commit_cycle
+            self._run_columns(instructions)
+        finally:
+            # a pass that stops inside a streamed segment must not leave
+            # its file handle open
+            self._source.close()
         self._flush_bulk_counters()
         base_cycles = self._commit_cycle - cycles_start
         self.shared.base_cycles = base_cycles
@@ -319,10 +324,10 @@ class FastEngine:
         bit-identically (the streaming equivalence suite pins this).
         """
         source = self._source
-        instrs = source.instructions
         window = self._window
         win_base = self._win_base
         if window is not None:
+            instrs = window.instructions
             cols = window.columns()
             pcs = cols.pc
             nexts = cols.next_pc
@@ -394,11 +399,12 @@ class FastEngine:
         try:
             while useful < budget and not halted:
                 if pos >= n_records:
-                    nxt = source.next_window()
+                    nxt = next(source, None)
                     if nxt is None:
                         raise trace_exhausted(win_base + pos)
                     win_base += n_records
                     window = nxt
+                    instrs = nxt.instructions
                     cols = nxt.columns()
                     pcs = cols.pc
                     nexts = cols.next_pc

@@ -10,6 +10,14 @@ the unchanged TLB/cache/branch/energy machinery — bit-identical to the
 recorded run, and sweepable over any configuration that shares the
 trace's page size.
 
+Every read runs one item parser (:mod:`repro.trace.format`):
+:func:`~repro.trace.format.load_trace` returns a
+:class:`~repro.trace.format.TraceFile` whose segments are decoded
+:class:`~repro.trace.format.TraceSegment`\\ s (eager, through the
+per-process LRU) or file-backed
+:class:`~repro.trace.format.StreamSegment`\\ s that decode in bounded
+windows.
+
 Trace files enter the rest of the system by *name*: the workload
 registry resolves ``trace:<path>``, and :class:`~repro.runner.JobSpec`
 content-addresses such workloads by the file's SHA-256
@@ -26,7 +34,6 @@ from repro.trace.format import (
     TRACE_VERSION,
     SegmentColumns,
     StreamSegment,
-    StreamTraceFile,
     TraceFile,
     TraceReader,
     TraceSegment,
@@ -54,7 +61,6 @@ __all__ = [
     "TRACE_VERSION",
     "SegmentColumns",
     "StreamSegment",
-    "StreamTraceFile",
     "TraceFile",
     "TraceReader",
     "TraceSegment",

@@ -53,13 +53,16 @@ import hashlib
 import json
 import os
 import struct
+import sys
 import time
 import zlib
 from array import array
 from collections import OrderedDict
+from contextlib import closing
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import TraceError
 from repro.isa.instructions import ANALYZABLE_KINDS, Instruction, Opcode
@@ -113,8 +116,8 @@ def step_aux(kind: int, step) -> int:
     outcome as 0/1, the indirect target, the memory address, or -1 when
     the instruction itself supplies everything.  Written to disk by
     :meth:`TraceWriter.write_step` and kept in memory by
-    :func:`repro.trace.record.capture_replay` — one definition of a
-    record for both."""
+    :func:`repro.trace.record.capture_segment` and the importers'
+    ``MemorySink`` — one definition of a record for all three."""
     if kind == AUX_TAKEN:
         return 1 if step.taken else 0
     if kind == AUX_NEXT_PC:
@@ -428,23 +431,15 @@ class SegmentColumns:
     Columns are immutable once built and safe to share across engines
     (and, via the trace LRU, across jobs in one process).
 
-    Built either from a whole decoded segment (``SegmentColumns(seg)``)
-    or, on the streaming path, from one window's record batch plus the
-    stream's incremental :class:`_StaticTables`
-    (``SegmentColumns(tables=..., records=...)``).
+    Built from a batch of records (a whole decoded segment, or one
+    streamed window) and :class:`_StaticTables` covering their statics.
     """
 
     __slots__ = ("pc", "next_pc", "kind", "aux", "rs", "rt", "rd",
                  "latency", "flags", "index", "run", "steps")
 
-    def __init__(self, segment: Optional["TraceSegment"] = None, *,
-                 tables: Optional[_StaticTables] = None,
-                 records: Optional[List[Tuple[int, int]]] = None) -> None:
-        if segment is not None:
-            tables = _StaticTables()
-            tables.extend(segment.instructions)
-            records = segment.records
-        assert tables is not None and records is not None
+    def __init__(self, tables: _StaticTables,
+                 records: List[Tuple[int, int]]) -> None:
         s_pc = tables.pc
         s_kind = tables.kind
         s_rs = tables.rs
@@ -518,64 +513,28 @@ class SegmentColumns:
 class TraceWindow:
     """One bounded batch of a segment's step records.
 
-    ``records`` is the raw ``(static index, aux)`` batch (indices are
-    absolute into the source's growing instruction list), ``base`` its
-    absolute step offset in the segment.  :meth:`columns` builds — and
-    memoizes — the flat-array view lazily, so a reader of the records
-    alone (re-recording a replay) never pays for columns.
+    ``records`` is the raw ``(static index, aux)`` batch and
+    ``instructions`` the statics its indices point into (while a stream
+    decodes, one list that grows in place, so indices in earlier
+    windows stay valid).  :meth:`columns` builds — and memoizes — the
+    flat-array view lazily, so a reader of the records alone
+    (re-recording a replay) never pays for columns.
     """
 
-    __slots__ = ("records", "base", "_tables", "_columns", "_memoized")
+    __slots__ = ("records", "instructions", "_build", "_columns")
 
-    def __init__(self, records: List[Tuple[int, int]], base: int, *,
-                 tables: Optional[_StaticTables] = None,
-                 memoized=None) -> None:
+    def __init__(self, records: List[Tuple[int, int]],
+                 instructions: List[Instruction],
+                 build: Callable[[], SegmentColumns]) -> None:
         self.records = records
-        self.base = base
-        self._tables = tables
-        self._memoized = memoized
+        self.instructions = instructions
+        self._build = build
         self._columns: Optional[SegmentColumns] = None
-
-    @property
-    def steps(self) -> int:
-        return len(self.records)
-
-    def nbytes(self) -> int:
-        """Decoded-column footprint of this window."""
-        return COLUMN_BYTES_PER_STEP * len(self.records)
 
     def columns(self) -> SegmentColumns:
         if self._columns is None:
-            if self._memoized is not None:
-                self._columns = self._memoized()
-            else:
-                self._columns = SegmentColumns(tables=self._tables,
-                                               records=self.records)
+            self._columns = self._build()
         return self._columns
-
-
-class _EagerWindowSource:
-    """A fully-decoded segment presented as a single window.
-
-    The eager fast path of the streaming seam: engines consume every
-    segment through ``window_source()``, and a small (already-decoded)
-    trace costs exactly what it did before windows existed — one
-    memoized :class:`SegmentColumns`, no re-parse, no copies.
-    """
-
-    __slots__ = ("instructions", "_segment", "_emitted")
-
-    def __init__(self, segment: "TraceSegment") -> None:
-        self.instructions = segment.instructions
-        self._segment = segment
-        self._emitted = False
-
-    def next_window(self) -> Optional[TraceWindow]:
-        if self._emitted:
-            return None
-        self._emitted = True
-        return TraceWindow(self._segment.records, 0,
-                           memoized=self._segment.columns)
 
 
 @dataclass
@@ -606,14 +565,17 @@ class TraceSegment:
         pass (and every sweep job sharing this segment through the trace
         LRU) reuses one set of arrays."""
         if self._columns is None:
-            self._columns = SegmentColumns(self)
+            tables = _StaticTables()
+            tables.extend(self.instructions)
+            self._columns = SegmentColumns(tables, self.records)
         return self._columns
 
-    def window_source(self):
+    def window_source(self) -> Iterator[TraceWindow]:
         """The uniform decode seam: every engine consumes a segment as
-        a sequence of :class:`TraceWindow`\\ s.  A decoded segment is
-        one window backed by the memoized columns."""
-        return _EagerWindowSource(self)
+        a generator of :class:`TraceWindow`\\ s, and closes it when its
+        pass ends.  A decoded segment is one window backed by the
+        memoized columns: no re-parse, no copies."""
+        yield TraceWindow(self.records, self.instructions, self.columns)
 
     def describe(self) -> str:
         return (f"{self.binary}: {len(self.records):,} steps over "
@@ -624,18 +586,20 @@ class TraceSegment:
 
 @dataclass
 class TraceFile:
-    """A decoded trace: creation header plus one segment per binary."""
+    """A trace: creation header plus one segment per binary, each a
+    decoded :class:`TraceSegment` or, when streamed, a file-backed
+    :class:`StreamSegment`."""
 
     path: Path
     header: dict
-    segments: List[TraceSegment]
+    segments: List[Union[TraceSegment, "StreamSegment"]]
 
     @property
     def workload_name(self) -> str:
         return self.header.get("workload", str(self.path))
 
-    def segment_for(self, *, instrumented: bool,
-                    page_bytes: int) -> TraceSegment:
+    def segment_for(self, *, instrumented: bool, page_bytes: int
+                    ) -> Union[TraceSegment, "StreamSegment"]:
         wanted = "instrumented" if instrumented else "plain"
         for segment in self.segments:
             if (segment.binary == wanted
@@ -647,39 +611,6 @@ class TraceFile:
             f"{self.path}: no {wanted} segment for {page_bytes}-byte pages "
             f"(trace contains: {have}); re-record the trace for this "
             "configuration")
-
-
-class _StreamReader:
-    """Byte-level reading with truncation/corruption mapped to
-    :class:`TraceError`."""
-
-    def __init__(self, fh, path: Path) -> None:
-        self._fh = fh
-        self._path = path
-
-    def exact(self, count: int, what: str) -> bytes:
-        try:
-            data = self._fh.read(count)
-        except (OSError, EOFError, zlib.error) as exc:
-            raise TraceError(
-                f"{self._path}: corrupt trace stream while reading {what} "
-                f"({exc})") from exc
-        if len(data) != count:
-            raise TraceError(
-                f"{self._path}: truncated trace (wanted {count} bytes of "
-                f"{what}, got {len(data)})")
-        return data
-
-    def json(self, length: int, what: str) -> dict:
-        raw = self.exact(length, what)
-        try:
-            value = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise TraceError(
-                f"{self._path}: corrupt {what} block ({exc})") from exc
-        if not isinstance(value, dict):
-            raise TraceError(f"{self._path}: {what} block is not an object")
-        return value
 
 
 def _open_trace(path: Path):
@@ -696,22 +627,9 @@ def _open_trace(path: Path):
     return raw, None
 
 
-def _read_preamble(stream: _StreamReader, path: Path) -> dict:
-    magic, version, _flags, hlen = _PREAMBLE.unpack(
-        stream.exact(_PREAMBLE.size, "preamble"))
-    if magic != MAGIC:
-        raise TraceError(
-            f"{path}: not a repro trace (bad magic {magic!r})")
-    if version != TRACE_VERSION:
-        raise TraceError(
-            f"{path}: unsupported trace version {version} "
-            f"(this build reads version {TRACE_VERSION})")
-    return stream.json(hlen, "header")
-
-
-def _decode_static(payload: bytes, path: Path) -> Instruction:
-    address, opnum, rd, rs, rt, imm, target, flags = _STATIC.unpack(
-        payload)
+def _decode_static(buf: bytes, offset: int, path: Path) -> Instruction:
+    address, opnum, rd, rs, rt, imm, target, flags = _STATIC.unpack_from(
+        buf, offset)
     op = _NUM_TO_OP.get(opnum)
     if op is None:
         raise TraceError(f"{path}: unknown opcode number {opnum}")
@@ -734,77 +652,201 @@ def _decode_static(payload: bytes, path: Path) -> Instruction:
         address=address)
 
 
+#: the longest segment item: a static's tag plus its entry
+_MAX_ITEM = 1 + _STATIC.size
+
+#: decompressed bytes a windowed reader refills at a time
+_CHUNK_BYTES = 1 << 16
+
+#: record limit of a parse that runs to the segment's end
+_NO_LIMIT = sys.maxsize
+
+
+def _parse_items(buf: bytes, pos: int, stop: int,
+                 instrs: List[Instruction], aux_kinds: List[int],
+                 records: List[Tuple[int, int]], limit: int,
+                 path: Path) -> Tuple[int, bool]:
+    """The one item parser: every decode, eager or windowed, runs it.
+
+    Parses one segment's items from ``buf`` starting at ``pos``:
+    statics append to ``instrs`` (their aux kinds to ``aux_kinds``),
+    steps append ``(static index, aux)`` to ``records``.  Stops after
+    ``TAG_END_SEGMENT``, before a step once ``records`` holds ``limit``
+    records, or at the first item starting at or past ``stop``.
+    Returns ``(pos, ended)``: where parsing stopped and whether the end
+    marker was consumed.  The caller puts ``stop`` one maximal item
+    short of the bytes it holds, or at the end of the file, so only an
+    item cut off by the end of the file can overrun ``buf``.
+    """
+    append = records.append
+    unpack_u32 = _U32.unpack_from
+    while pos < stop:
+        tag = buf[pos]
+        if tag == TAG_STEP:
+            if len(records) >= limit:
+                break
+            (index,) = unpack_u32(buf, pos + 1)
+            if index >= len(aux_kinds):
+                raise TraceError(
+                    f"{path}: step references static entry "
+                    f"{index} before its definition")
+            kind = aux_kinds[index]
+            if kind == AUX_NONE:
+                append((index, -1))
+                pos += 5
+            elif kind == AUX_TAKEN:
+                append((index, buf[pos + 5]))
+                pos += 6
+            else:
+                append((index, unpack_u32(buf, pos + 5)[0]))
+                pos += 9
+        elif tag == TAG_STATIC:
+            instr = _decode_static(buf, pos + 1, path)
+            instrs.append(instr)
+            aux_kinds.append(aux_kind(instr.kind_code))
+            pos += _MAX_ITEM
+        elif tag == TAG_END_SEGMENT:
+            return pos + 1, True
+        elif tag == TAG_END_TRACE:
+            raise TraceError(f"{path}: unterminated segment")
+        else:
+            raise TraceError(f"{path}: unknown record tag {tag:#x}")
+    return pos, False
+
+
+class _TraceStream:
+    """One forward read of a trace file: its preamble, then segment
+    metas and items as the caller asks for them.
+
+    ``chunk`` bounds the decompressed bytes held at once.  ``None``
+    gunzips the whole file up front (the eager read).  A byte count
+    refills that much whenever the parser nears the end of what it
+    holds, so a windowed reader holds one chunk plus less than one
+    item.  Truncation and corruption raise :class:`TraceError`.
+    """
+
+    def __init__(self, path: Path, chunk: Optional[int]) -> None:
+        self.path = path
+        self._chunk = -1 if chunk is None else chunk
+        self._buf = b""
+        self._pos = 0
+        self._eof = False
+        self._fh, self._raw = _open_trace(path)
+        try:
+            self.header = self._preamble()
+        except BaseException:
+            self.close()
+            raise
+
+    def close(self) -> None:
+        if self._fh is None:
+            return
+        self._fh.close()
+        if self._raw is not None:
+            self._raw.close()
+        self._fh = None
+
+    def _fill(self, need: int) -> None:
+        """Hold at least ``need`` unparsed bytes, unless the file ends
+        first."""
+        while len(self._buf) - self._pos < need and not self._eof:
+            try:
+                data = self._fh.read(self._chunk)
+            except (OSError, EOFError, zlib.error) as exc:
+                raise TraceError(
+                    f"{self.path}: corrupt trace stream ({exc})") from exc
+            self._buf = self._buf[self._pos:] + data
+            self._pos = 0
+            self._eof = not data or self._chunk < 0
+
+    def _take(self, count: int, what: str) -> bytes:
+        self._fill(count)
+        pos = self._pos
+        data = self._buf[pos:pos + count]
+        if len(data) != count:
+            raise TraceError(
+                f"{self.path}: truncated trace (wanted {count} bytes of "
+                f"{what}, got {len(data)})")
+        self._pos = pos + count
+        return data
+
+    def _json(self, length: int, what: str) -> dict:
+        raw = self._take(length, what)
+        try:
+            value = json.loads(raw.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise TraceError(
+                f"{self.path}: corrupt {what} block ({exc})") from exc
+        if not isinstance(value, dict):
+            raise TraceError(f"{self.path}: {what} block is not an object")
+        return value
+
+    def _preamble(self) -> dict:
+        magic, version, _flags, hlen = _PREAMBLE.unpack(
+            self._take(_PREAMBLE.size, "preamble"))
+        if magic != MAGIC:
+            raise TraceError(
+                f"{self.path}: not a repro trace (bad magic {magic!r})")
+        if version != TRACE_VERSION:
+            raise TraceError(
+                f"{self.path}: unsupported trace version {version} "
+                f"(this build reads version {TRACE_VERSION})")
+        return self._json(hlen, "header")
+
+    def next_segment(self) -> Optional[dict]:
+        """Consume the next segment's tag and meta and return the meta,
+        or ``None`` once ``TAG_END_TRACE`` is reached."""
+        tag = self._take(1, "record tag")[0]
+        if tag == TAG_END_TRACE:
+            return None
+        if tag != TAG_SEGMENT:
+            raise TraceError(
+                f"{self.path}: record tag {tag:#x} outside a segment")
+        (mlen,) = _U32.unpack(self._take(4, "segment meta size"))
+        return self._json(mlen, "segment meta")
+
+    def parse(self, instrs: List[Instruction], aux_kinds: List[int],
+              records: List[Tuple[int, int]],
+              limit: int = _NO_LIMIT) -> bool:
+        """Refill, then run :func:`_parse_items` over the held bytes;
+        ``True`` once the segment's end marker is consumed."""
+        self._fill(_MAX_ITEM)
+        buf = self._buf
+        end = len(buf)
+        try:
+            self._pos, ended = _parse_items(
+                buf, self._pos, end if self._eof else end - _MAX_ITEM + 1,
+                instrs, aux_kinds, records, limit, self.path)
+        except (struct.error, IndexError) as exc:
+            raise TraceError(
+                f"{self.path}: truncated trace (last item cut off: "
+                f"{exc})") from None
+        if not ended and self._eof and self._pos >= end:
+            raise TraceError(
+                f"{self.path}: truncated trace (segment has no end marker)")
+        return ended
+
+    def drop_segment(self) -> None:
+        """Parse past the current segment, dropping each chunk's
+        records."""
+        instrs: List[Instruction] = []
+        aux_kinds: List[int] = []
+        records: List[Tuple[int, int]] = []
+        while not self.parse(instrs, aux_kinds, records):
+            records.clear()
+
+
 class TraceReader:
-    """Parse a trace file; :meth:`read` decodes everything, and
-    :meth:`info` summarizes without materializing instruction objects."""
+    """Decode a trace file whole.  :meth:`read` returns every segment's
+    statics and records; :meth:`info` summarizes that full decode as
+    counts and keeps none of it."""
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
 
-    def _open(self):
-        return _open_trace(self.path)
-
-    def _read_preamble(self, stream: _StreamReader) -> dict:
-        return _read_preamble(stream, self.path)
-
     def read(self) -> TraceFile:
         """Decode the whole trace into memory."""
-        fh, raw = self._open()
-        try:
-            stream = _StreamReader(fh, self.path)
-            header = self._read_preamble(stream)
-            segments: List[TraceSegment] = []
-            segment: Optional[TraceSegment] = None
-            aux_kinds: List[int] = []
-            while True:
-                tag = stream.exact(1, "record tag")[0]
-                if tag == TAG_END_TRACE:
-                    break
-                if tag == TAG_SEGMENT:
-                    (mlen,) = _U32.unpack(stream.exact(4, "segment meta size"))
-                    segment = TraceSegment(
-                        meta=stream.json(mlen, "segment meta"))
-                    segments.append(segment)
-                    aux_kinds = []
-                    continue
-                if segment is None:
-                    raise TraceError(
-                        f"{self.path}: record tag {tag:#x} outside a segment")
-                if tag == TAG_END_SEGMENT:
-                    segment = None
-                elif tag == TAG_STATIC:
-                    instr = self._decode_static(
-                        stream.exact(_STATIC.size, "static entry"))
-                    segment.instructions.append(instr)
-                    aux_kinds.append(aux_kind(instr.kind_code))
-                elif tag == TAG_STEP:
-                    (index,) = _U32.unpack(stream.exact(4, "step index"))
-                    if index >= len(aux_kinds):
-                        raise TraceError(
-                            f"{self.path}: step references static entry "
-                            f"{index} before its definition")
-                    kind = aux_kinds[index]
-                    if kind == AUX_TAKEN:
-                        aux = stream.exact(1, "branch outcome")[0]
-                    elif kind in (AUX_NEXT_PC, AUX_MEM_ADDR):
-                        (aux,) = _U32.unpack(stream.exact(4, "step payload"))
-                    else:
-                        aux = -1
-                    segment.records.append((index, aux))
-                else:
-                    raise TraceError(
-                        f"{self.path}: unknown record tag {tag:#x}")
-            if segment is not None:
-                raise TraceError(f"{self.path}: unterminated segment")
-            return TraceFile(path=self.path, header=header,
-                             segments=segments)
-        finally:
-            fh.close()
-            if raw is not None:
-                raw.close()
-
-    def _decode_static(self, payload: bytes) -> Instruction:
-        return _decode_static(payload, self.path)
+        return _read_trace(self.path)
 
     def info(self) -> dict:
         """Header plus per-segment step/static counts (full decode, but
@@ -832,189 +874,21 @@ class TraceReader:
 # ---------------------------------------------------------------------------
 
 
-class _TraceScanner:
-    """Forward-only parser over an open trace stream.
-
-    Shared by the streaming window source (which decodes one segment's
-    records in bounded batches) and the stream-file segment index (which
-    only wants metadata).  gzip streams cannot seek, so reaching segment
-    *k* means parsing past segments ``0..k-1`` — :meth:`skip_segment_body`
-    does that without building a single :class:`Instruction` or record
-    tuple: statics are unpacked only far enough to learn each step's aux
-    payload size.
-    """
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
-        self._fh, self._raw = _open_trace(self.path)
-        self.stream = _StreamReader(self._fh, self.path)
-        self.header = _read_preamble(self.stream, self.path)
-        self._done = False
-
-    def close(self) -> None:
-        if self._fh is None:
-            return
-        self._fh.close()
-        if self._raw is not None:
-            self._raw.close()
-        self._fh = None
-
-    def next_segment_meta(self) -> Optional[dict]:
-        """Consume the next ``TAG_SEGMENT`` and return its meta, or
-        ``None`` once ``TAG_END_TRACE`` is reached."""
-        if self._done:
-            return None
-        tag = self.stream.exact(1, "record tag")[0]
-        if tag == TAG_END_TRACE:
-            self._done = True
-            return None
-        if tag != TAG_SEGMENT:
-            raise TraceError(
-                f"{self.path}: record tag {tag:#x} outside a segment")
-        (mlen,) = _U32.unpack(self.stream.exact(4, "segment meta size"))
-        return self.stream.json(mlen, "segment meta")
-
-    def skip_segment_body(self) -> int:
-        """Consume the current segment's items undecoded; returns the
-        step count skipped."""
-        stream = self.stream
-        aux_kinds: List[int] = []
-        steps = 0
-        while True:
-            tag = stream.exact(1, "record tag")[0]
-            if tag == TAG_END_SEGMENT:
-                return steps
-            if tag == TAG_STATIC:
-                payload = stream.exact(_STATIC.size, "static entry")
-                opnum = payload[4]  # <I address, then B op
-                op = _NUM_TO_OP.get(opnum)
-                if op is None:
-                    raise TraceError(
-                        f"{self.path}: unknown opcode number {opnum}")
-                aux_kinds.append(aux_kind(int(op.kind)))
-            elif tag == TAG_STEP:
-                (index,) = _U32.unpack(stream.exact(4, "step index"))
-                if index >= len(aux_kinds):
-                    raise TraceError(
-                        f"{self.path}: step references static entry "
-                        f"{index} before its definition")
-                kind = aux_kinds[index]
-                if kind == AUX_TAKEN:
-                    stream.exact(1, "branch outcome")
-                elif kind in (AUX_NEXT_PC, AUX_MEM_ADDR):
-                    stream.exact(4, "step payload")
-                steps += 1
-            else:
-                raise TraceError(
-                    f"{self.path}: unknown record tag {tag:#x}")
-
-
-class _StreamWindowSource:
-    """Yields one segment's stream as bounded :class:`TraceWindow`\\ s.
-
-    Each source owns its file handle, interned-instruction list, and
-    static tables — two sources over the same :class:`StreamSegment`
-    (say, the plain and instrumented passes of one job, or a retry)
-    never share mutable state.  ``instructions`` grows in place as
-    statics arrive, so an engine may bind it once: indices in earlier
-    windows stay valid forever.
-    """
-
-    def __init__(self, path: Union[str, Path], ordinal: int,
-                 window_steps: int) -> None:
-        self.instructions: List[Instruction] = []
-        self._tables = _StaticTables()
-        self._window_steps = max(1, window_steps)
-        self._base = 0
-        self._aux_kinds: List[int] = []
-        self._exhausted = False
-        self._scanner = _TraceScanner(path)
-        seen = 0
-        while True:
-            meta = self._scanner.next_segment_meta()
-            if meta is None:
-                raise TraceError(
-                    f"{self._scanner.path}: trace holds only {seen} "
-                    f"segment(s); segment #{ordinal} disappeared between "
-                    "the index scan and the decode — was the file "
-                    "rewritten mid-run?")
-            if seen == ordinal:
-                break
-            self._scanner.skip_segment_body()
-            seen += 1
-
-    def close(self) -> None:
-        self._exhausted = True
-        self._scanner.close()
-
-    def next_window(self) -> Optional[TraceWindow]:
-        """Decode up to the window budget of step records; ``None`` once
-        the segment is exhausted (the file handle closes with it)."""
-        if self._exhausted:
-            return None
-        from repro.telemetry import emit, note_stream_window
-        started = time.perf_counter()
-        path = self._scanner.path
-        stream = self._scanner.stream
-        instrs = self.instructions
-        aux_kinds = self._aux_kinds
-        records: List[Tuple[int, int]] = []
-        limit = self._window_steps
-        while len(records) < limit:
-            tag = stream.exact(1, "record tag")[0]
-            if tag == TAG_END_SEGMENT:
-                self.close()
-                break
-            if tag == TAG_STATIC:
-                instr = _decode_static(
-                    stream.exact(_STATIC.size, "static entry"), path)
-                instrs.append(instr)
-                aux_kinds.append(aux_kind(instr.kind_code))
-            elif tag == TAG_STEP:
-                (index,) = _U32.unpack(stream.exact(4, "step index"))
-                if index >= len(aux_kinds):
-                    raise TraceError(
-                        f"{path}: step references static entry "
-                        f"{index} before its definition")
-                kind = aux_kinds[index]
-                if kind == AUX_TAKEN:
-                    aux = stream.exact(1, "branch outcome")[0]
-                elif kind in (AUX_NEXT_PC, AUX_MEM_ADDR):
-                    (aux,) = _U32.unpack(stream.exact(4, "step payload"))
-                else:
-                    aux = -1
-                records.append((index, aux))
-            else:
-                raise TraceError(
-                    f"{path}: unknown record tag {tag:#x}")
-        if not records:
-            return None
-        self._tables.extend(instrs)
-        window = TraceWindow(records, self._base, tables=self._tables)
-        self._base += len(records)
-        note_stream_window(window.nbytes(),
-                           time.perf_counter() - started)
-        emit("trace.stream_window", level="debug", path=str(path),
-             base=window.base, steps=len(records),
-             bytes=window.nbytes())
-        return window
-
-
 @dataclass
 class StreamSegment:
     """One binary pass of a trace, decoded on demand in bounded windows.
 
-    Structurally a :class:`TraceSegment` stand-in everywhere replay
-    needs one — ``meta``/``binary``/``page_bytes`` for geometry, and
+    A :class:`TraceSegment` stand-in everywhere replay needs one —
+    ``meta``/``binary``/``page_bytes`` for geometry, and
     ``window_source()`` as the decode seam — but it holds no records:
-    each source re-reads the file forward, keeping at most one window's
-    columns alive.
+    each source re-reads the file forward, holding one decompressed
+    chunk and the window it is building.
     """
 
     path: Path
     meta: dict
     #: position of this segment in the file (gzip cannot seek, so the
-    #: source skip-parses earlier segments to reach it)
+    #: source parses past earlier segments to reach it)
     ordinal: int
     #: window budget, in step records (derived from the byte budget)
     window_steps: int
@@ -1027,9 +901,44 @@ class StreamSegment:
     def page_bytes(self) -> int:
         return self.meta["page_bytes"]
 
-    def window_source(self) -> _StreamWindowSource:
-        return _StreamWindowSource(self.path, self.ordinal,
-                                   self.window_steps)
+    def window_source(self) -> Iterator[TraceWindow]:
+        """Windows of at most ``window_steps`` records.  Each source
+        owns its file handle, statics and tables, so two sources over
+        one segment (the two passes of a job, or a retry) share no
+        mutable state; closing the generator closes the file."""
+        from repro.telemetry import emit, note_stream_window
+        instrs: List[Instruction] = []
+        aux_kinds: List[int] = []
+        tables = _StaticTables()
+        base = 0
+        ended = False
+        with closing(_TraceStream(self.path, _CHUNK_BYTES)) as stream:
+            for seen in range(self.ordinal + 1):
+                if stream.next_segment() is None:
+                    raise TraceError(
+                        f"{self.path}: trace holds only {seen} segment(s);"
+                        f" segment #{self.ordinal} disappeared between the"
+                        " index scan and the decode — was the file "
+                        "rewritten mid-run?")
+                if seen < self.ordinal:
+                    stream.drop_segment()
+            while not ended:
+                started = time.perf_counter()
+                records: List[Tuple[int, int]] = []
+                while not ended and len(records) < self.window_steps:
+                    ended = stream.parse(instrs, aux_kinds, records,
+                                         self.window_steps)
+                if not records:
+                    return
+                tables.extend(instrs)
+                nbytes = COLUMN_BYTES_PER_STEP * len(records)
+                note_stream_window(nbytes, time.perf_counter() - started)
+                emit("trace.stream_window", level="debug",
+                     path=str(self.path), base=base, steps=len(records),
+                     bytes=nbytes)
+                base += len(records)
+                yield TraceWindow(records, instrs,
+                                  partial(SegmentColumns, tables, records))
 
     def describe(self) -> str:
         return (f"{self.binary}: streaming decode, "
@@ -1038,67 +947,28 @@ class StreamSegment:
                 f"{self.page_bytes}-byte pages)")
 
 
-class StreamTraceFile:
-    """A trace opened for windowed decode: header read eagerly, segment
-    bodies never held in memory.
-
-    Mirrors the :class:`TraceFile` surface replay consumes
-    (``workload_name``, ``segment_for``, ``segments``) so
-    :class:`~repro.trace.replay.TraceWorkload` works unchanged; the
-    segment index is a decode-less skip-parse of the file, done once on
-    first need and cached.
-    """
-
-    def __init__(self, path: Union[str, Path], window_steps: int) -> None:
-        self.path = Path(path)
-        self.window_steps = max(1, window_steps)
-        scanner = _TraceScanner(self.path)
-        try:
-            self.header = scanner.header
-        finally:
-            scanner.close()
-        self._metas: Optional[List[dict]] = None
-
-    @property
-    def workload_name(self) -> str:
-        return self.header.get("workload", str(self.path))
-
-    def _segment_metas(self) -> List[dict]:
-        if self._metas is None:
-            metas: List[dict] = []
-            scanner = _TraceScanner(self.path)
-            try:
-                while True:
-                    meta = scanner.next_segment_meta()
-                    if meta is None:
-                        break
-                    metas.append(meta)
-                    scanner.skip_segment_body()
-            finally:
-                scanner.close()
-            self._metas = metas
-        return self._metas
-
-    @property
-    def segments(self) -> List[StreamSegment]:
-        return [StreamSegment(self.path, meta, i, self.window_steps)
-                for i, meta in enumerate(self._segment_metas())]
-
-    def segment_for(self, *, instrumented: bool,
-                    page_bytes: int) -> StreamSegment:
-        wanted = "instrumented" if instrumented else "plain"
-        metas = self._segment_metas()
-        for i, meta in enumerate(metas):
-            if (meta.get("binary", "plain") == wanted
-                    and meta.get("page_bytes") == page_bytes):
-                return StreamSegment(self.path, meta, i, self.window_steps)
-        have = ", ".join(
-            f"{m.get('binary', 'plain')}@{m.get('page_bytes')}B"
-            for m in metas) or "none"
-        raise TraceError(
-            f"{self.path}: no {wanted} segment for {page_bytes}-byte pages "
-            f"(trace contains: {have}); re-record the trace for this "
-            "configuration")
+def _read_trace(path: Path, window_steps: Optional[int] = None) -> TraceFile:
+    """One forward parse of a trace file.  Eager (no ``window_steps``):
+    gunzip the whole file, then parse each segment with no record limit
+    — one unbounded window.  Streamed: the segment index, parsed one
+    decompressed chunk at a time with every record dropped, as
+    :class:`StreamSegment`\\ s."""
+    chunk = None if window_steps is None else _CHUNK_BYTES
+    with closing(_TraceStream(path, chunk)) as stream:
+        segments: list = []
+        while (meta := stream.next_segment()) is not None:
+            if window_steps is None:
+                segment = TraceSegment(meta=meta)
+                # the whole file is held: one parse reaches the end
+                # marker or raises
+                stream.parse(segment.instructions, [], segment.records)
+            else:
+                segment = StreamSegment(path, meta, len(segments),
+                                        window_steps)
+                stream.drop_segment()
+            segments.append(segment)
+        return TraceFile(path=path, header=stream.header,
+                         segments=segments)
 
 
 # ---------------------------------------------------------------------------
@@ -1238,7 +1108,7 @@ _TRACE_LRU: "OrderedDict[Tuple[str, str], TraceFile]" = OrderedDict()
 
 
 def load_trace(path: Union[str, Path], *, use_cache: bool = True,
-               stream=None) -> Union[TraceFile, StreamTraceFile]:
+               stream=None) -> TraceFile:
     """Read and decode ``path``, memoizing per process.
 
     A six-config sweep over one trace used to gunzip and re-decode the
@@ -1259,11 +1129,11 @@ def load_trace(path: Union[str, Path], *, use_cache: bool = True,
     * ``False`` — always eager (bench's decode-excluded views).
     * ``True`` or an ``int`` byte budget — always streaming.
 
-    A streamed trace returns a :class:`StreamTraceFile`: nothing is
-    decoded up front and nothing enters the LRU — each engine pass
-    re-reads the file forward, holding at most one window's columns,
-    so replay memory is bounded by the window budget instead of the
-    trace.  Results are bit-identical either way (the streaming
+    A streamed trace is a :class:`TraceFile` of :class:`StreamSegment`\\ s
+    found by one index scan: no record is kept and nothing enters the
+    LRU — each engine pass re-reads the file forward, holding one
+    decompressed chunk and one window's columns, so replay memory is
+    bounded by the window budget instead of the trace.  Results are bit-identical either way (the streaming
     equivalence suite pins this)."""
     from repro.telemetry import emit, note_decode
     from repro.faults import fire
@@ -1280,7 +1150,7 @@ def load_trace(path: Union[str, Path], *, use_cache: bool = True,
     if stream:
         window_bytes = DEFAULT_WINDOW_BYTES if stream is True else int(stream)
         window_steps = max(1, window_bytes // COLUMN_BYTES_PER_STEP)
-        trace = StreamTraceFile(path, window_steps)
+        trace = _read_trace(Path(path), window_steps)
         emit("trace.stream_open", level="debug", path=str(path),
              window_bytes=window_bytes, window_steps=window_steps)
         return trace

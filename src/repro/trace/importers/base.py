@@ -57,13 +57,11 @@ from repro.errors import TraceError
 from repro.isa.instructions import InstrKind, Instruction, Opcode
 from repro.isa.program import DATA_BASE, TEXT_BASE
 from repro.trace.format import (
-    AUX_MEM_ADDR,
-    AUX_NEXT_PC,
-    AUX_TAKEN,
     TraceSegment,
     TraceWriter,
     aux_kind,
     file_digest,
+    step_aux,
 )
 from repro.workloads.synthetic import WorkloadProfile
 
@@ -482,16 +480,8 @@ class MemorySink:
             index = len(segment.instructions)
             segment.instructions.append(instr)
             self._intern[id(instr)] = index
-        kind = aux_kind(instr.kind_code)
-        if kind == AUX_TAKEN:
-            aux = 1 if step.taken else 0
-        elif kind == AUX_NEXT_PC:
-            aux = step.next_pc
-        elif kind == AUX_MEM_ADDR:
-            aux = step.mem_addr
-        else:
-            aux = -1
-        segment.records.append((index, aux))
+        segment.records.append(
+            (index, step_aux(aux_kind(instr.kind_code), step)))
 
 
 def emit_segment(importer: Importer, scan: ScanResult,

@@ -43,22 +43,27 @@ def _replay_prefix(segment, instructions: int) -> TraceSegment:
     source's meta; :class:`~repro.errors.TraceError` if the recording
     ends first."""
     source = segment.window_source()
-    statics = source.instructions
+    statics = []
     records = []
     useful = 0
-    while useful < instructions:
-        window = source.next_window()
-        if window is None:
-            raise trace_exhausted(len(records))
-        for record in window.records:
-            records.append(record)
-            instr = statics[record[0]]
-            if instr.kind_code == 14:  # HALT
-                return TraceSegment(dict(segment.meta), statics, records)
-            if not instr.is_boundary_branch:
-                useful += 1
-                if useful == instructions:
-                    break
+    try:
+        while useful < instructions:
+            window = next(source, None)
+            if window is None:
+                raise trace_exhausted(len(records))
+            statics = window.instructions
+            for record in window.records:
+                records.append(record)
+                instr = statics[record[0]]
+                if instr.kind_code == 14:  # HALT
+                    return TraceSegment(dict(segment.meta), statics,
+                                        records)
+                if not instr.is_boundary_branch:
+                    useful += 1
+                    if useful == instructions:
+                        break
+    finally:
+        source.close()
     return TraceSegment(dict(segment.meta), statics, records)
 
 

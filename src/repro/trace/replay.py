@@ -30,7 +30,6 @@ from repro.isa.instructions import Instruction
 from repro.isa.program import Program
 from repro.trace.format import (
     StreamSegment,
-    StreamTraceFile,
     TraceFile,
     TraceSegment,
     load_trace,
@@ -90,8 +89,7 @@ class TraceWorkload:
     and bit-identical to — the live run it captures.
     """
 
-    def __init__(self, path: Union[str, Path],
-                 trace: Union[TraceFile, StreamTraceFile]) -> None:
+    def __init__(self, path: Union[str, Path], trace: TraceFile) -> None:
         self.path = Path(path)
         self.trace = trace
         self.profile = WorkloadProfile(name=trace.workload_name)

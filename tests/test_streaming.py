@@ -36,8 +36,9 @@ from repro.runner import FileQueueBackend, JobSpec, ResultStore, SweepRunner
 from repro.sim.multi import run_all_schemes
 from repro.telemetry.metrics import JobMetrics, aggregate, collect
 from repro.trace import (
-    StreamTraceFile,
+    StreamSegment,
     TraceFile,
+    TraceSegment,
     clear_trace_cache,
     import_trace,
     load_trace,
@@ -95,6 +96,14 @@ def traces(tmp_path_factory):
     return table
 
 
+def _streamed(trace) -> bool:
+    """Whether ``trace`` was loaded for windowed decode: every segment
+    is file-backed and no decoded trace entered the LRU."""
+    return (isinstance(trace, TraceFile) and bool(trace.segments)
+            and all(isinstance(s, StreamSegment) for s in trace.segments)
+            and not _TRACE_LRU)
+
+
 def _canon(run) -> str:
     return json.dumps(run.to_dict(), sort_keys=True)
 
@@ -111,7 +120,7 @@ def _replay(path, instructions, warmup, *, window=None):
     try:
         workload = load_trace_workload(path)
         if window is not None:
-            assert isinstance(workload.trace, StreamTraceFile)
+            assert _streamed(workload.trace)
         return run_all_schemes(workload, default_config(),
                                instructions=instructions, warmup=warmup)
     finally:
@@ -375,6 +384,52 @@ class TestWindowEdges:
         assert out_eager.read_bytes() == out_stream.read_bytes()
 
 
+class TestSourcesClose:
+    """A pass that stops inside a streamed segment closes the segment's
+    file when it returns or raises."""
+
+    def test_no_unclosed_file_under_error_resource_warning(self, tmp_path):
+        """Replays and a re-recording over 8 KB windows, each stopping
+        well inside the mesa segments, in a child interpreter run under
+        ``-W error::ResourceWarning``: a handle left for the garbage
+        collector reports itself on stderr."""
+        script = f"""
+import gc, os
+from repro.config import default_config
+from repro.errors import TraceError
+from repro.cpu.fast import FastEngine
+from repro.sim.multi import run_all_schemes
+from repro.trace.format import load_trace
+from repro.trace.record import record_trace
+from repro.trace.replay import TraceWorkload
+
+path = {str(GOLDEN_MESA)!r}
+workload = TraceWorkload(path, load_trace(path, stream=8192))
+run_all_schemes(workload, default_config(), instructions=2000, warmup=200)
+program = workload.link(page_bytes=4096)
+try:
+    FastEngine(program, default_config()).run(10_000_000)
+except TraceError:
+    pass
+os.environ["REPRO_TRACE_WINDOW"] = "8k"
+record_trace("trace:" + path, default_config(), instructions=600,
+             warmup=0, path={str(tmp_path / "again.trace.gz")!r})
+del workload, program
+gc.collect()
+print("ok")
+"""
+        src = Path(repro.__file__).parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = f"{src}{os.pathsep}" + env.get("PYTHONPATH", "")
+        env.pop(WINDOW_ENV, None)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::ResourceWarning", "-c", script],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ok"
+        assert "ResourceWarning" not in proc.stderr, proc.stderr
+
+
 class TestMetricsAccounting:
     """JobMetrics tells the decode story: which path ran, how many
     windows, how big the biggest one was."""
@@ -444,49 +499,53 @@ class TestDecodePolicy:
     def test_small_file_defaults_to_eager(self, monkeypatch):
         monkeypatch.delenv(WINDOW_ENV, raising=False)
         clear_trace_cache()
-        assert isinstance(load_trace(GOLDEN_MESA, use_cache=False),
-                          TraceFile)
+        trace = load_trace(GOLDEN_MESA, use_cache=False)
+        assert all(isinstance(s, TraceSegment) for s in trace.segments)
 
     def test_env_forces_streaming(self, monkeypatch):
         monkeypatch.setenv(WINDOW_ENV, "8k")
         clear_trace_cache()
         trace = load_trace(GOLDEN_MESA)
-        assert isinstance(trace, StreamTraceFile)
-        # ... and never occupies an eager-cache slot
-        assert not _TRACE_LRU
+        # streamed, so it never occupies an eager-cache slot
+        assert _streamed(trace)
         clear_trace_cache()
 
     def test_explicit_stream_false_beats_env(self, monkeypatch):
         monkeypatch.setenv(WINDOW_ENV, "8k")
         clear_trace_cache()
-        assert isinstance(
-            load_trace(GOLDEN_MESA, use_cache=False, stream=False),
-            TraceFile)
+        trace = load_trace(GOLDEN_MESA, use_cache=False, stream=False)
+        assert all(isinstance(s, TraceSegment) for s in trace.segments)
         clear_trace_cache()
 
     def test_explicit_stream_true_uses_default_window(self, monkeypatch):
         monkeypatch.delenv(WINDOW_ENV, raising=False)
+        clear_trace_cache()
         trace = load_trace(GOLDEN_MESA, stream=True)
-        assert isinstance(trace, StreamTraceFile)
-        assert (trace.window_steps
-                == DEFAULT_WINDOW_BYTES // COLUMN_BYTES_PER_STEP)
+        assert _streamed(trace)
+        for segment in trace.segments:
+            assert (segment.window_steps
+                    == DEFAULT_WINDOW_BYTES // COLUMN_BYTES_PER_STEP)
 
     def test_large_file_auto_streams(self, monkeypatch):
         monkeypatch.delenv(WINDOW_ENV, raising=False)
         monkeypatch.setattr("repro.trace.format.STREAM_THRESHOLD_BYTES",
                             1)
         clear_trace_cache()
-        assert isinstance(load_trace(GOLDEN_MESA), StreamTraceFile)
+        assert _streamed(load_trace(GOLDEN_MESA))
         clear_trace_cache()
 
     def test_stream_trace_file_surface(self, monkeypatch):
-        """StreamTraceFile mirrors TraceFile's lookup surface,
-        including the typed no-such-segment error."""
+        """A streamed trace is a TraceFile whose index scan found the
+        same header and segment metas as the eager decode, with the
+        same lookups and the typed no-such-segment error."""
         trace = load_trace(GOLDEN_MESA, stream=4096)
         eager = load_trace(GOLDEN_MESA, use_cache=False, stream=False)
         assert trace.workload_name == eager.workload_name
-        assert len(trace.segments) == len(eager.segments)
+        assert trace.header == eager.header
+        assert ([s.meta for s in trace.segments]
+                == [s.meta for s in eager.segments])
         segment = trace.segment_for(instrumented=False, page_bytes=4096)
+        assert isinstance(segment, StreamSegment)
         assert segment.page_bytes == 4096
         with pytest.raises(TraceError, match="no .* segment"):
             trace.segment_for(instrumented=False, page_bytes=123456)

@@ -19,6 +19,7 @@ from repro.cpu.functional import StepResult
 from repro.errors import TraceError
 from repro.isa.instructions import Instruction, Opcode
 from repro.trace.format import (
+    COLUMN_BYTES_PER_STEP,
     MAGIC,
     TAG_SEGMENT,
     TAG_STATIC,
@@ -74,6 +75,23 @@ def _write_sample(path):
     return path
 
 
+def _drain(path):
+    """Decode ``path`` through 4-step streaming windows."""
+    trace = load_trace(path, use_cache=False,
+                       stream=4 * COLUMN_BYTES_PER_STEP)
+    for segment in trace.segments:
+        for _window in segment.window_source():
+            pass
+
+
+def _rejects(path, match=None):
+    """Both decode paths, the eager read and streaming windows, reject
+    ``path`` with a TraceError matching ``match``."""
+    for decode in (lambda: TraceReader(path).read(), lambda: _drain(path)):
+        with pytest.raises(TraceError, match=match):
+            decode()
+
+
 class TestRoundTrip:
     def test_all_record_shapes_survive(self, tmp_path):
         path = _write_sample(tmp_path / "t.trace")
@@ -120,40 +138,34 @@ class TestRoundTrip:
 
 class TestMalformedInput:
     def test_missing_file(self, tmp_path):
-        with pytest.raises(TraceError, match="cannot open"):
-            TraceReader(tmp_path / "absent.trace").read()
+        _rejects(tmp_path / "absent.trace", "cannot open")
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.trace"
         path.write_bytes(b"")
-        with pytest.raises(TraceError, match="truncated"):
-            TraceReader(path).read()
+        _rejects(path, "truncated")
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.trace"
         path.write_bytes(b"NOTATRCE" + b"\x00" * 32)
-        with pytest.raises(TraceError, match="bad magic"):
-            TraceReader(path).read()
+        _rejects(path, "bad magic")
 
     def test_wrong_version(self, tmp_path):
         path = tmp_path / "v99.trace"
         path.write_bytes(struct.pack("<8sHHI", MAGIC, 99, 0, 2) + b"{}")
-        with pytest.raises(TraceError, match="version 99"):
-            TraceReader(path).read()
+        _rejects(path, "version 99")
 
     def test_truncated_mid_stream(self, tmp_path):
         whole = _write_sample(tmp_path / "whole.trace").read_bytes()
         cut = tmp_path / "cut.trace"
         cut.write_bytes(whole[:int(len(whole) * 0.6)])
-        with pytest.raises(TraceError, match="truncated"):
-            TraceReader(cut).read()
+        _rejects(cut, "truncated")
 
     def test_missing_end_of_trace_marker(self, tmp_path):
         whole = _write_sample(tmp_path / "whole.trace").read_bytes()
         cut = tmp_path / "cut.trace"
         cut.write_bytes(whole[:-1])  # drop TAG_END_TRACE
-        with pytest.raises(TraceError, match="truncated"):
-            TraceReader(cut).read()
+        _rejects(cut, "truncated")
 
     def test_corrupt_gzip_payload(self, tmp_path):
         data = bytearray(_write_sample(tmp_path / "t.trace.gz")
@@ -163,22 +175,19 @@ class TestMalformedInput:
             data[i] ^= 0xFF
         bad = tmp_path / "bad.trace.gz"
         bad.write_bytes(bytes(data))
-        with pytest.raises(TraceError):
-            TraceReader(bad).read()
+        _rejects(bad)
 
     def test_garbage_with_gz_suffix(self, tmp_path):
         bad = tmp_path / "bad.trace.gz"
         bad.write_bytes(b"\x1f\x8b" + b"\xde\xad\xbe\xef" * 16)
-        with pytest.raises(TraceError):
-            TraceReader(bad).read()
+        _rejects(bad)
 
     def test_corrupt_header_json(self, tmp_path):
         path = tmp_path / "badjson.trace"
         payload = b"not json!"
         path.write_bytes(struct.pack("<8sHHI", MAGIC, TRACE_VERSION, 0,
                                      len(payload)) + payload)
-        with pytest.raises(TraceError, match="corrupt header"):
-            TraceReader(path).read()
+        _rejects(path, "corrupt header")
 
     def test_step_before_static_definition(self, tmp_path):
         path = tmp_path / "dangling.trace"
@@ -188,8 +197,7 @@ class TestMalformedInput:
                 + struct.pack("<B", TAG_STEP) + struct.pack("<I", 0))
         path.write_bytes(struct.pack("<8sHHI", MAGIC, TRACE_VERSION, 0, 2)
                          + b"{}" + body)
-        with pytest.raises(TraceError, match="before its definition"):
-            TraceReader(path).read()
+        _rejects(path, "before its definition")
 
     def test_unknown_tag(self, tmp_path):
         path = tmp_path / "tag.trace"
@@ -199,8 +207,7 @@ class TestMalformedInput:
                 + struct.pack("<B", 0x7F))
         path.write_bytes(struct.pack("<8sHHI", MAGIC, TRACE_VERSION, 0, 2)
                          + b"{}" + body)
-        with pytest.raises(TraceError, match="unknown record tag"):
-            TraceReader(path).read()
+        _rejects(path, "unknown record tag")
 
     def test_unknown_opcode_number(self, tmp_path):
         path = tmp_path / "opcode.trace"
@@ -212,8 +219,7 @@ class TestMalformedInput:
                 + struct.pack("<B", TAG_STATIC) + static)
         path.write_bytes(struct.pack("<8sHHI", MAGIC, TRACE_VERSION, 0, 2)
                          + b"{}" + body)
-        with pytest.raises(TraceError, match="unknown opcode number 250"):
-            TraceReader(path).read()
+        _rejects(path, "unknown opcode number 250")
 
     def test_direct_control_without_target_rejected(self, tmp_path):
         from repro.trace.format import _OP_TO_NUM
@@ -227,8 +233,7 @@ class TestMalformedInput:
                 + struct.pack("<B", TAG_STATIC) + static)
         path.write_bytes(struct.pack("<8sHHI", MAGIC, TRACE_VERSION, 0, 2)
                          + b"{}" + body)
-        with pytest.raises(TraceError, match="has no target"):
-            TraceReader(path).read()
+        _rejects(path, "has no target")
 
     @pytest.mark.parametrize("stream", [False, True],
                              ids=["eager", "streaming"])
